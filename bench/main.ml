@@ -54,13 +54,12 @@ let metrics_demo () =
 
 (* --- Bechamel microbenchmarks: real backend, single thread --- *)
 
-let micro_variant name (r : (module Oa_runtime.Runtime_intf.S)) =
+let micro () =
   let open Bechamel in
   let open Toolkit in
-  Format.printf
-    "@.=== Microbenchmarks: real backend [%s], single thread ===@." name;
+  Format.printf "@.=== Microbenchmarks: real backend, single thread ===@.";
   Format.printf "(per-operation latency including each scheme's barriers)@.";
-  let module R = (val r) in
+  let module R = (val Oa_runtime.Real_backend.make ()) in
   let module Schemes = Oa_smr.Schemes.Make (R) in
   let cfg_small = { I.default_config with I.chunk_size = 16 } in
   let make_list_test (id, (module S : Schemes.S_with_r)) =
@@ -131,13 +130,6 @@ let micro_variant name (r : (module Oa_runtime.Runtime_intf.S)) =
           | _ -> Format.printf "%-36s (no estimate)@." name)
         analyzed)
     tests
-
-(* Flat cache-aligned arena (the default) and the boxed-atomics baseline:
-   the per-operation difference is the backend substrate cost that
-   docs/performance.md tracks. *)
-let micro () =
-  micro_variant "flat arena" (Oa_runtime.Real_backend.make ());
-  micro_variant "boxed atomics" (Oa_runtime.Real_backend.make_boxed ())
 
 let () =
   Format.printf "Optimistic Access reproduction benchmarks@.";

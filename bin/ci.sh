@@ -31,6 +31,19 @@ dune runtest
 echo "== differential batch suite"
 dune exec test/test_batch.exe -- -q
 
+# Golden simulated figures (docs/testing.md): the simulator is
+# deterministic, so Figures 5, 7 and 8 at a tiny scale must reproduce
+# the committed tables byte for byte — a refactor or deletion that
+# should not move the reproduction is checked rather than asserted.
+# Figures 1-4 and the ablations are pinned at full precision by
+# test/test_figures.ml inside `dune runtest`.
+echo "== golden figures 5, 7, 8"
+for n in 5 7 8; do
+  OA_BENCH_SCALE=0.02 OA_BENCH_REPEATS=1 OA_BENCH_THREADS=2,4 \
+    ./_build/default/bin/oa_cli.exe figure "$n" \
+    | diff -u "test/golden/fig$n.txt" -
+done
+
 # Schedule-exploration smoke run (docs/testing.md): the deliberately broken
 # HP and VBR schemes must be caught within the seed budget, and the real
 # schemes must survive the same adversary.  All runs are seconds.
@@ -212,25 +225,23 @@ rm -f bench_server_oa_b1.json bench_server_oa_b64.json \
 echo "== BENCH_server.json"
 cat BENCH_server.json
 
-# Core benchmark smoke (docs/performance.md): bounded flat-vs-boxed
-# hash-table throughput sweep plus the batched-execution sweep on the
-# real backends, over the full seven-scheme matrix — BENCH_core.json
-# carries a vbr_over_oa ratio series (same-substrate VBR/OA throughput
-# per domain count) so future PRs can gate the read-barrier crossover
-# (docs/performance.md) instead of rediscovering it.  Emits
-# BENCH_core.json (uploaded as a CI artifact) and exits nonzero if
-# retire/recycle conservation is violated on either substrate or at any
-# batch size.
+# Core benchmark smoke (docs/performance.md): bounded hash-table
+# throughput sweep plus the batched-execution sweep on the real backend,
+# over the full seven-scheme matrix — BENCH_core.json carries a
+# vbr_over_oa ratio series (VBR/OA throughput per domain count) so
+# future PRs can gate the read-barrier crossover (docs/performance.md)
+# instead of rediscovering it.  Emits BENCH_core.json (uploaded as a CI
+# artifact) and exits nonzero if retire/recycle conservation is violated
+# at any point or batch size.
 echo "== bench-core smoke"
-# 800k ops x 11 repeats on the gated points: each point is a ~250ms
-# measurement, the ratio a trimmed mean over eleven interleaved pairs.
+# 800k ops x 11 repeats: each run is a ~250ms measurement, each batch
+# speedup a trimmed mean over eleven interleaved per-op/batched pairs.
 # Long samples average over noise episodes on shared runners (at ~50ms
 # a single bad time slice swings a point 10-15%), and the trimmed mean
 # on top is what keeps the perf gate below honest against its 10%
-# tolerance (measured: 400k x 5 with plain medians still let a loaded
-# runner push a passing 0.95 point to 0.899).  Oversubscribed points
-# are demoted to three pairs by bench-core itself — the gate skips
-# them, so the wall-clock budget goes where it buys stability.
+# tolerance.  Oversubscribed domain points are demoted to three runs by
+# bench-core itself: nothing gates them, so the wall-clock budget goes
+# where it buys stability.
 dune exec bin/oa_cli.exe -- bench-core \
   --schemes norecl,oa,hp,ebr,anchors,rc,vbr \
   --domains 1,2,4,8 --ops 800000 --repeats 11 --batches 1,16 \
@@ -239,10 +250,10 @@ test -s BENCH_core.json
 echo "== BENCH_core.json"
 cat BENCH_core.json
 
-# Perf gate (docs/performance.md): the two regressions this repo has
-# shipped before — flat arena losing to the boxed baseline, run_batch
-# costing throughput — fail CI here, with a 10% tolerance on top of
-# bench-core's median-of-N and oversubscribed points excluded.
+# Perf gate (docs/performance.md): a regression this repo has shipped
+# before — run_batch costing throughput — fails CI here, with a 10%
+# tolerance on top of bench-core's trimmed mean and an oversubscribed
+# sweep excluded.
 if [ "$PERF_GATE" = 1 ]; then
   echo "== perf gate"
   sh bin/perf_gate.sh BENCH_core.json
@@ -251,8 +262,9 @@ else
 fi
 
 # Cycle attribution (docs/performance.md): where each scheme's cycles
-# go — per-phase sampled-TSC estimates on both real substrates, with
-# hardware counters when the runner grants perf_event_open.  Recorded
+# go — per-phase sampled-TSC estimates over bench-core's batch-sweep
+# workload, with hardware counters when the runner grants
+# perf_event_open.  Recorded
 # as an artifact, not asserted: attribution shares drift with the
 # machine, and the gate above already covers the end-to-end numbers.
 echo "== profile smoke (cycle attribution)"

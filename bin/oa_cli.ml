@@ -9,7 +9,8 @@
    oa_cli loadgen [options]      drive a server and report latency
    oa_cli ledger-verify [opts]   check a restarted server against a
                                  loadgen acked-write ledger
-   oa_cli bench-core [options]   flat-vs-boxed real-backend throughput
+   oa_cli bench-core [options]   real-backend throughput, batch sweep and
+                                 memory curve (BENCH_core.json)
    oa_cli profile [options]      per-phase cycle attribution of the
                                  schemes (BENCH_profile.json)
    oa_cli schemes                list the available SMR schemes *)
@@ -27,6 +28,19 @@ let scheme_conv =
     | None -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
   in
   let print ppf id = Format.pp_print_string ppf (Schemes.id_name id) in
+  Arg.conv (parse, print)
+
+let scheme_list_conv =
+  let parse s =
+    let names = String.split_on_char ',' s in
+    let ids = List.filter_map Schemes.id_of_name names in
+    if List.length ids = List.length names && ids <> [] then Ok ids
+    else Error (`Msg (Printf.sprintf "bad scheme list %S" s))
+  in
+  let print ppf ids =
+    Format.pp_print_string ppf
+      (String.concat "," (List.map Schemes.id_name ids))
+  in
   Arg.conv (parse, print)
 
 let structure_conv =
@@ -111,13 +125,21 @@ let run_cmd =
     Arg.(value & opt int 1 & info [ "repeats" ] ~doc:"Repetitions.")
   in
   let backend =
+    let sim cost_model = E.Sim { cost_model; quantum = 128 } in
     Arg.(
-      value & opt string "sim"
+      value
+      & opt
+          (enum
+             [
+               ("sim", sim CM.amd_opteron);
+               ("sim-xeon", sim CM.intel_xeon);
+               ("real", E.Real);
+             ])
+          (sim CM.amd_opteron)
       & info [ "backend" ]
           ~doc:
-            "Backend: sim (default), sim-xeon, real (domains over the flat \
-             cache-aligned arena), or real-boxed (domains over boxed \
-             atomics, the A/B baseline; see docs/performance.md).")
+            "Backend: sim (default), sim-xeon, or real (domains over the \
+             flat cache-aligned arena; see docs/performance.md).")
   in
   let metrics =
     Arg.(
@@ -150,13 +172,6 @@ let run_cmd =
   in
   let run structure scheme threads prefill ops mix delta chunk seed zipf
       repeats backend metrics_file metrics_format trace_events =
-    let backend =
-      match backend with
-      | "real" -> E.Real
-      | "real-boxed" -> E.Real_boxed
-      | "sim-xeon" -> E.Sim { cost_model = CM.intel_xeon; quantum = 128 }
-      | _ -> E.Sim { cost_model = CM.amd_opteron; quantum = 128 }
-    in
     let spec =
       {
         E.structure;
@@ -1188,11 +1203,148 @@ let ledger_verify_cmd =
           every ledger key, fail on any divergence.")
     Term.(const run $ host $ port $ ledger $ timeout $ json)
 
+(* --- the core workload (bench-core batch sweep, profile) --- *)
+
+let schemes_arg =
+  Arg.(
+    value
+    & opt scheme_list_conv
+        Schemes.[ Optimistic_access; Hazard_pointers; Epoch_based ]
+    & info [ "schemes" ] ~docv:"LIST"
+        ~doc:"Comma-separated SMR schemes (default oa,hp,ebr).")
+
+let prefill_arg =
+  Arg.(value & opt int 1_000 & info [ "prefill"; "p" ] ~doc:"Initial size.")
+
+let json_arg default =
+  Arg.(
+    value & opt string default
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:"Machine-readable result; $(b,-) suppresses the file.")
+
+(* Write a benchmark's JSON summary unless [path] is "-". *)
+let write_json path buf =
+  if path <> "-" then begin
+    Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc buf);
+    Format.printf "@.wrote %s@." path
+  end
+
+(* One run of the core hash-table workload on the real backend, shared
+   by bench-core's batch sweep and the profiler so both measure the same
+   thing.  The table is prefilled with [prefill] distinct keys from a
+   range twice that size; then each of [threads] domains executes
+   [per_thread] operations (rounded down to whole batches, at least one)
+   of a windowed hot-key stream: every 16 operations draw their keys from
+   one 32-key span, read-mostly 60/20/20, identical for every batch size
+   at a given tid.  Windows give batches bucket/key locality, which is
+   what the per-scheme amortisation (HP hazard carry, EBR one
+   announcement, OA one warning boundary, bucket-sorted traversal reuse)
+   feeds on.  [batch = 1] runs the stream per-op; larger sizes go through
+   Hash_table.run_batch with every per-batch buffer preallocated and
+   lent, so the delta against per-op is the schemes' amortisation, not
+   allocator traffic.  [measure] wraps the timed region (the profiler
+   opens its hardware counters around it).  Per-thread TSC spans are
+   taken on each domain — the same same-thread-difference discipline the
+   phase timers use. *)
+type core_run = {
+  wall_s : float;  (** the timed [par_run], wall clock *)
+  thread_cycles : int array;  (** TSC span of each domain's op loop *)
+  executed : int;  (** operations over all threads *)
+  stats : Oa_core.Smr_intf.stats;
+}
+
+let core_workload ?obs ?(measure = fun f -> f ()) ~scheme ~threads
+    ~per_thread ~prefill ~batch () =
+  let module R =
+    (val Oa_runtime.Real_backend.make ~max_threads:(threads + 1) ())
+  in
+  let module Sch = Schemes.Make (R) in
+  let module S = (val Sch.pack scheme) in
+  let module H = Oa_structures.Hash_table.Make (S) in
+  let cfg =
+    {
+      Oa_core.Smr_intf.default_config with
+      Oa_core.Smr_intf.chunk_size = 16;
+      retire_threshold = 64;
+      epoch_threshold = 64;
+    }
+  in
+  let groups = max 1 (per_thread / batch) in
+  let per_thread = groups * batch in
+  let capacity =
+    match scheme with
+    | Schemes.No_reclamation -> prefill + (threads * per_thread) + 64
+    | _ -> prefill + (48 * 16 * (threads + 1)) + 1_024
+  in
+  let tbl = H.create ?obs ~capacity ~expected_size:prefill cfg in
+  let key_range = 2 * prefill and window = 32 in
+  let ctx0 = H.register tbl in
+  let rng = Oa_util.Splitmix.create 7 in
+  let remaining = ref prefill in
+  while !remaining > 0 do
+    let k = 1 + Oa_util.Splitmix.below rng key_range in
+    if H.insert tbl ctx0 k then decr remaining
+  done;
+  let thread_cycles = Array.make threads 0 in
+  let t0 = Unix.gettimeofday () in
+  measure (fun () ->
+      R.par_run ~n:threads (fun tid ->
+          let ctx = H.register tbl in
+          let rng = Oa_util.Splitmix.create (1_000 + (tid * 7919)) in
+          let base = ref 1 in
+          let next i =
+            if i mod 16 = 0 then
+              base := 1 + Oa_util.Splitmix.below rng (key_range - window);
+            let key = !base + Oa_util.Splitmix.below rng window in
+            let op =
+              match Oa_util.Splitmix.below rng 10 with
+              | 0 | 1 | 2 | 3 | 4 | 5 -> `Contains
+              | 6 | 7 -> `Insert
+              | _ -> `Delete
+            in
+            (op, key)
+          in
+          let c0 = Oa_runtime.Clock.tsc () in
+          if batch = 1 then
+            for i = 0 to per_thread - 1 do
+              match next i with
+              | `Contains, key -> ignore (H.contains tbl ctx key)
+              | `Insert, key -> ignore (H.insert tbl ctx key)
+              | `Delete, key -> ignore (H.delete tbl ctx key)
+            done
+          else begin
+            let bbuf =
+              Array.init batch (fun _ -> { H.op = `Contains; key = 1 })
+            in
+            let keys = Array.make batch 0 in
+            let scratch = Array.make batch 0 in
+            let results = Array.make batch false in
+            for g = 0 to groups - 1 do
+              for j = 0 to batch - 1 do
+                let op, key = next ((g * batch) + j) in
+                let r = bbuf.(j) in
+                r.H.op <- op;
+                r.H.key <- key
+              done;
+              ignore (H.run_batch tbl ctx ~scratch ~keys ~results bbuf)
+            done
+          end;
+          thread_cycles.(tid) <- Oa_runtime.Clock.tsc () - c0;
+          H.quiesce ctx));
+  {
+    wall_s = Unix.gettimeofday () -. t0;
+    thread_cycles;
+    executed = threads * per_thread;
+    stats = S.stats (H.smr tbl);
+  }
+
 (* --- bench-core --- *)
 
-(* Multi-domain hash-table throughput on the two real backends (flat
-   cache-aligned arena vs boxed atomics), the perf trajectory the repo
-   tracks across PRs via BENCH_core.json (docs/performance.md). *)
+(* Multi-domain hash-table throughput on the real backend, the perf
+   trajectory the repo tracks across PRs via BENCH_core.json
+   (docs/performance.md): a scheme x domain-count sweep, the batched
+   execution sweep the perf gate checks, and the elastic allocator's
+   memory curve. *)
 let bench_core_cmd =
   let int_list_conv ~what =
     let parse s =
@@ -1209,27 +1361,6 @@ let bench_core_cmd =
           Format.pp_print_string ppf
             (String.concat "," (List.map string_of_int l)) )
   in
-  let schemes =
-    let scheme_list_conv =
-      let parse s =
-        let names = String.split_on_char ',' s in
-        let ids = List.filter_map Schemes.id_of_name names in
-        if List.length ids = List.length names && ids <> [] then Ok ids
-        else Error (`Msg (Printf.sprintf "bad scheme list %S" s))
-      in
-      Arg.conv
-        ( parse,
-          fun ppf ids ->
-            Format.pp_print_string ppf
-              (String.concat "," (List.map Schemes.id_name ids)) )
-    in
-    Arg.(
-      value
-      & opt scheme_list_conv
-          Schemes.[ Optimistic_access; Hazard_pointers; Epoch_based ]
-      & info [ "schemes" ] ~docv:"LIST"
-          ~doc:"Comma-separated SMR schemes to measure (default oa,hp,ebr).")
-  in
   let domains =
     Arg.(
       value
@@ -1241,9 +1372,6 @@ let bench_core_cmd =
     Arg.(
       value & opt int 200_000
       & info [ "ops"; "n" ] ~doc:"Total operations per point.")
-  in
-  let prefill =
-    Arg.(value & opt int 1_000 & info [ "prefill"; "p" ] ~doc:"Initial size.")
   in
   let repeats =
     Arg.(
@@ -1264,36 +1392,19 @@ let bench_core_cmd =
              or in groups through Hash_table.run_batch, so the deltas \
              isolate the schemes' batch amortisation.")
   in
-  let json =
-    Arg.(
-      value & opt string "BENCH_core.json"
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Machine-readable result; $(b,-) suppresses the file.")
-  in
-  let pin =
-    Arg.(
-      value & flag
-      & info [ "pin" ]
-          ~doc:
-            "Pin benchmark domains to CPUs (domain $(i,i) to core $(i,i) \
-             mod cores), removing mid-measurement core migration as a \
-             noise source.  Equivalent to running with OA_PIN_CPUS=1; \
-             ignored where sched_setaffinity is unavailable or refused.")
-  in
-  let run schemes domains ops prefill repeats batches json pin =
-    if pin then Unix.putenv "OA_PIN_CPUS" "1";
+  let run schemes domains ops prefill repeats batches json =
     (* middle element of the sorted sample: robust against one noisy run *)
     let median l =
       let s = List.sort compare l in
       List.nth s (List.length s / 2)
     in
     (* The gate statistic for ratios: drop the top and bottom ~20% of the
-       sorted pair ratios and average the rest.  Pairing (below) already
-       absorbs noise episodes, so what's left per pair is roughly
-       symmetric jitter — and there a trimmed mean is meaningfully
-       tighter than the median (which throws away all but the middle
-       sample), directly shrinking the tail the CI perf gate's 10%
-       tolerance has to cover. *)
+       sorted pair ratios and average the rest.  Pairing the batch sizes
+       within each repeat (below) already absorbs noise episodes, so
+       what's left per pair is roughly symmetric jitter — and there a
+       trimmed mean is meaningfully tighter than the median (which throws
+       away all but the middle sample), directly shrinking the tail the
+       CI perf gate's 10% tolerance has to cover. *)
     let trimmed_mean l =
       let a = Array.of_list l in
       Array.sort compare a;
@@ -1305,47 +1416,47 @@ let bench_core_cmd =
       done;
       !s /. float_of_int (n - (2 * k))
     in
+    let check_conservation what st =
+      let open Oa_core.Smr_intf in
+      if st.recycled > st.retires then begin
+        Format.eprintf
+          "bench-core: conservation violated for %s (recycled %d > retired \
+           %d)@."
+          what st.recycled st.retires;
+        exit 1
+      end
+    in
     (* the machine's real core count, not OCaml's (possibly clamped)
        recommended domain count — readers of the JSON need to know how
        oversubscribed the domain sweep was *)
     let host_cores = Oa_runtime.Sysinfo.nproc () in
-    let spec_of scheme backend threads =
-      {
-        E.default_spec with
-        E.structure = E.Hash_table;
-        scheme;
-        threads;
-        prefill;
-        total_ops = ops;
-        seed = 42;
-        backend;
-      }
-    in
-    (* Substrates are measured in alternation — boxed, flat, boxed,
-       flat… — rather than as two back-to-back repeat blocks, and the
-       reported ratio is the median of the per-pair ratios.  On shared
-       runners, noise arrives in sustained episodes (another tenant, a
-       thermal dip) that can easily cover one whole block; pairing puts
-       both substrates inside every episode, so the ratio the perf gate
-       checks stays honest even when the absolute numbers wobble. *)
-    let paired_point scheme n =
-      let spec_boxed = spec_of scheme E.Real_boxed n in
-      let spec_flat = spec_of scheme E.Real n in
-      let boxed = ref [] and flat = ref [] and pair_ratios = ref [] in
-      let st = ref Oa_core.Smr_intf.empty_stats in
-      (* Oversubscribed points are diagnostic only — the perf gate skips
-         them — so they get a token three pairs; the repeat budget is
-         spent where it buys CI stability, on the gated points. *)
-      let eff_repeats = if n > host_cores then min repeats 3 else repeats in
-      for _ = 1 to eff_repeats do
-        let b = E.run spec_boxed in
-        let f = E.run spec_flat in
-        boxed := b.E.throughput :: !boxed;
-        flat := f.E.throughput :: !flat;
-        pair_ratios := (f.E.throughput /. b.E.throughput) :: !pair_ratios;
-        st := Oa_core.Smr_intf.add_stats !st f.E.smr_stats
-      done;
-      (median !boxed, median !flat, trimmed_mean !pair_ratios, !st)
+    (* Oversubscribed points measure scheduler time-slicing, not
+       parallel speedup, so they get a token three runs; the repeat
+       budget is spent where it buys stability. *)
+    let point scheme n =
+      let spec =
+        {
+          E.default_spec with
+          E.structure = E.Hash_table;
+          scheme;
+          threads = n;
+          prefill;
+          total_ops = ops;
+          seed = 42;
+          backend = E.Real;
+        }
+      in
+      let runs =
+        List.init
+          (if n > host_cores then min repeats 3 else repeats)
+          (fun _ -> E.run spec)
+      in
+      check_conservation
+        (Printf.sprintf "%s at %d domains" (Schemes.id_name scheme) n)
+        (List.fold_left
+           (fun st r -> Oa_core.Smr_intf.add_stats st r.E.smr_stats)
+           Oa_core.Smr_intf.empty_stats runs);
+      median (List.map (fun r -> r.E.throughput) runs)
     in
     let buf = Buffer.create 1024 in
     Buffer.add_string buf "{\n";
@@ -1355,84 +1466,38 @@ let bench_core_cmd =
     Printf.bprintf buf "  \"repeats\": %d,\n" repeats;
     Printf.bprintf buf "  \"host_cores\": %d,\n" host_cores;
     Buffer.add_string buf "  \"points\": [\n";
-    Format.printf "hash-table throughput, flat vs boxed real backend@.";
+    Format.printf "hash-table throughput, real backend@.";
     Format.printf
       "(points marked * run more domains than the machine has cores: their \
        numbers measure scheduler interleaving, not parallel speedup)@.";
-    Format.printf "%-8s %8s %12s %12s %8s@." "scheme" "domains" "boxed Mops"
-      "flat Mops" "ratio";
-    let first = ref true in
-    let ratios = ref [] in
-    let flat_mops = ref [] in
-    List.iter
-      (fun scheme ->
-        List.iter
-          (fun n ->
-            let boxed, flat, ratio, st = paired_point scheme n in
-            flat_mops := ((scheme, n), flat) :: !flat_mops;
-            let conservation_ok =
-              st.Oa_core.Smr_intf.recycled <= st.Oa_core.Smr_intf.retires
-            in
-            if not conservation_ok then begin
-              Format.eprintf
-                "bench-core: conservation violated for %s at %d domains \
-                 (recycled %d > retired %d)@."
-                (Schemes.id_name scheme) n st.Oa_core.Smr_intf.recycled
-                st.Oa_core.Smr_intf.retires;
-              exit 1
-            end;
-            let oversub = n > host_cores in
-            ratios := ((scheme, n), ratio) :: !ratios;
-            Format.printf "%-8s %7d%s %12.3f %12.3f %7.2fx@."
-              (Schemes.id_name scheme) n
-              (if oversub then "*" else " ")
-              (boxed /. 1e6) (flat /. 1e6) ratio;
-            List.iter
-              (fun (backend_name, mops) ->
-                if !first then first := false
-                else Buffer.add_string buf ",\n";
-                Printf.bprintf buf
-                  "    {\"scheme\": \"%s\", \"backend\": \"%s\", \
-                   \"domains\": %d, \"mops\": %.4f, \"oversubscribed\": %b}"
-                  (Schemes.id_name scheme) backend_name n (mops /. 1e6)
-                  oversub)
-              [ ("real-boxed", boxed); ("real", flat) ])
-          domains)
-      schemes;
-    Buffer.add_string buf "\n  ],\n";
-    let max_domains = List.fold_left max 1 domains in
-    let at_max =
-      List.filter_map
-        (fun ((s, n), r) -> if n = max_domains then Some (s, r) else None)
-        !ratios
+    Format.printf "%-8s %8s %12s@." "scheme" "domains" "Mops";
+    let mops =
+      List.concat_map
+        (fun scheme ->
+          List.map
+            (fun n ->
+              let tp = point scheme n in
+              Format.printf "%-8s %7d%s %12.3f@." (Schemes.id_name scheme) n
+                (if n > host_cores then "*" else " ")
+                (tp /. 1e6);
+              ((scheme, n), tp))
+            domains)
+        schemes
     in
-    Buffer.add_string buf "  \"flat_over_boxed_at_max_domains\": {";
-    Buffer.add_string buf
-      (String.concat ", "
-         (List.map
-            (fun (s, r) ->
-              Printf.sprintf "\"%s\": %.3f" (Schemes.id_name s) r)
-            at_max));
-    Buffer.add_string buf "},\n";
-    (* per-point ratios with the oversubscription verdict attached: the
-       CI perf gate (bin/perf_gate.sh) enforces flat >= boxed only on
-       points the machine can genuinely run in parallel *)
-    Buffer.add_string buf "  \"flat_over_boxed_points\": [\n";
     Buffer.add_string buf
       (String.concat ",\n"
-         (List.rev_map
-            (fun ((s, n), r) ->
+         (List.map
+            (fun ((s, n), tp) ->
               Printf.sprintf
-                "    {\"scheme\": \"%s\", \"domains\": %d, \"ratio\": %.3f, \
+                "    {\"scheme\": \"%s\", \"domains\": %d, \"mops\": %.4f, \
                  \"oversubscribed\": %b}"
-                (Schemes.id_name s) n r (n > host_cores))
-            !ratios));
+                (Schemes.id_name s) n (tp /. 1e6) (n > host_cores))
+            mops));
     Buffer.add_string buf "\n  ],\n";
     (* The OA-vs-VBR crossover series (EXPERIMENTS.md): per-domain ratio
-       of VBR over OA flat-substrate throughput, emitted whenever the
-       sweep measured both schemes so future PRs can gate on the
-       crossover not regressing.  Oversubscription is flagged the same
-       way as the flat/boxed points, for the same reason. *)
+       of VBR over OA throughput, emitted whenever the sweep measured
+       both schemes so future PRs can gate on the crossover not
+       regressing.  Oversubscription is flagged as on the points. *)
     if
       List.mem Schemes.Optimistic_access schemes
       && List.mem Schemes.Version_based schemes
@@ -1443,8 +1508,8 @@ let bench_core_cmd =
            (List.filter_map
               (fun n ->
                 match
-                  ( List.assoc_opt (Schemes.Optimistic_access, n) !flat_mops,
-                    List.assoc_opt (Schemes.Version_based, n) !flat_mops )
+                  ( List.assoc_opt (Schemes.Optimistic_access, n) mops,
+                    List.assoc_opt (Schemes.Version_based, n) mops )
                 with
                 | Some oa, Some vbr when oa > 0. ->
                     Some
@@ -1456,124 +1521,36 @@ let bench_core_cmd =
               domains));
       Buffer.add_string buf "\n  ],\n"
     end;
-    (* Batch-size sweep: the same windowed hot-key op stream per thread,
-       executed per-op or in groups through Hash_table.run_batch on the
-       flat backend.  Windows give batches bucket/key locality, which is
-       what the per-scheme amortisation (HP hazard carry, EBR one
-       announcement, OA one warning boundary, bucket-sorted traversal
-       reuse) feeds on — the per-op control executes the identical
-       stream, so the delta isolates the batched path. *)
+    (* Batch-size sweep over the core workload: the same per-thread op
+       stream, executed per-op or in groups through Hash_table.run_batch,
+       so the delta isolates the batched path. *)
     let bench_threads =
       min
         (max 1 (Domain.recommended_domain_count ()))
         (min 4 (List.fold_left max 1 domains))
     in
-    let key_range = 2 * prefill in
-    let window = 32 in
-    let sweep_once scheme b =
-      let per_thread = max b (ops / bench_threads) in
-      let groups = per_thread / b in
-      let executed = groups * b in
-      let one () =
-        let module R =
-          (val Oa_runtime.Real_backend.make ~max_threads:(bench_threads + 1) ())
-        in
-        let module Sch = Schemes.Make (R) in
-        let module S = (val Sch.pack scheme) in
-        let module H = Oa_structures.Hash_table.Make (S) in
-        let cfg =
-          {
-            Oa_core.Smr_intf.default_config with
-            Oa_core.Smr_intf.chunk_size = 16;
-            retire_threshold = 64;
-            epoch_threshold = 64;
-          }
-        in
-        let capacity =
-          match scheme with
-          | Schemes.No_reclamation -> prefill + (bench_threads * executed) + 64
-          | _ -> prefill + (48 * 16 * (bench_threads + 1)) + 1_024
-        in
-        let tbl = H.create ~capacity ~expected_size:prefill cfg in
-        let ctx0 = H.register tbl in
-        let rng = Oa_util.Splitmix.create 7 in
-        let remaining = ref prefill in
-        while !remaining > 0 do
-          let k = 1 + Oa_util.Splitmix.below rng key_range in
-          if H.insert tbl ctx0 k then decr remaining
-        done;
-        let t0 = Unix.gettimeofday () in
-        R.par_run ~n:bench_threads (fun tid ->
-            let ctx = H.register tbl in
-            let rng = Oa_util.Splitmix.create (1_000 + (tid * 7919)) in
-            (* the op stream: windows of 16 keys drawn from a 32-key
-               span, read-mostly 60/20/20 — identical for every batch
-               size at a given tid *)
-            let base = ref 1 in
-            let next i =
-              if i mod 16 = 0 then
-                base := 1 + Oa_util.Splitmix.below rng (key_range - window);
-              let key = !base + Oa_util.Splitmix.below rng window in
-              let op =
-                match Oa_util.Splitmix.below rng 10 with
-                | 0 | 1 | 2 | 3 | 4 | 5 -> `Contains
-                | 6 | 7 -> `Insert
-                | _ -> `Delete
-              in
-              (op, key)
-            in
-            if b = 1 then
-              for i = 0 to executed - 1 do
-                match next i with
-                | `Contains, key -> ignore (H.contains tbl ctx key)
-                | `Insert, key -> ignore (H.insert tbl ctx key)
-                | `Delete, key -> ignore (H.delete tbl ctx key)
-              done
-            else begin
-              (* steady-state batching: every per-batch buffer (ops,
-                 keys, ordering scratch, results) is preallocated and
-                 lent to [run_batch], so the measured delta against the
-                 per-op control is the schemes' amortisation, not
-                 allocator traffic *)
-              let bbuf =
-                Array.init b (fun _ -> { H.op = `Contains; key = 1 })
-              in
-              let keys = Array.make b 0 in
-              let scratch = Array.make b 0 in
-              let results = Array.make b false in
-              for g = 0 to groups - 1 do
-                for j = 0 to b - 1 do
-                  let op, key = next ((g * b) + j) in
-                  let r = bbuf.(j) in
-                  r.H.op <- op;
-                  r.H.key <- key
-                done;
-                ignore (H.run_batch tbl ctx ~scratch ~keys ~results bbuf)
-              done
-            end;
-            H.quiesce ctx);
-        let dt = Unix.gettimeofday () -. t0 in
-        (float_of_int (bench_threads * executed) /. dt, S.stats (H.smr tbl))
+    let sweep_once scheme batch =
+      let r =
+        core_workload ~scheme ~threads:bench_threads
+          ~per_thread:(ops / bench_threads) ~prefill ~batch ()
       in
-      one ()
+      (float_of_int r.executed /. r.wall_s, r.stats)
     in
-    Format.printf "@.batched execution sweep, flat backend, %d domains@."
-      bench_threads;
+    Format.printf "@.batched execution sweep, %d domains@." bench_threads;
     Format.printf "%-8s %8s %12s %10s@." "scheme" "batch" "Mops" "speedup";
     Buffer.add_string buf "  \"batch_sweep\": {\n";
     Printf.bprintf buf "    \"threads\": %d,\n" bench_threads;
     Printf.bprintf buf "    \"oversubscribed\": %b,\n"
       (bench_threads > host_cores);
-    Printf.bprintf buf "    \"key_range\": %d,\n" key_range;
+    Printf.bprintf buf "    \"key_range\": %d,\n" (2 * prefill);
     Buffer.add_string buf "    \"points\": [\n";
     let bfirst = ref true in
     let speedups = ref [] in
     let max_batch = List.fold_left max 1 batches in
     (* Batch sizes are cycled within each repeat — b1, b16, b1, b16… —
        and the reported speedup is the trimmed mean of the per-repeat
-       ratios against the first (control) batch size, for the same
-       reason the substrate sweep pairs its measurements: a noise
-       episode covering one whole per-size block would otherwise fake a
+       ratios against the first (control) batch size: a noise episode
+       covering one whole per-size block would otherwise fake a
        regression the perf gate acts on. *)
     List.iter
       (fun scheme ->
@@ -1590,16 +1567,9 @@ let bench_core_cmd =
         done;
         List.iteri
           (fun bi b ->
-            let st = stats.(bi) in
-            if st.Oa_core.Smr_intf.recycled > st.Oa_core.Smr_intf.retires
-            then begin
-              Format.eprintf
-                "bench-core: conservation violated for %s at batch %d \
-                 (recycled %d > retired %d)@."
-                (Schemes.id_name scheme) b st.Oa_core.Smr_intf.recycled
-                st.Oa_core.Smr_intf.retires;
-              exit 1
-            end;
+            check_conservation
+              (Printf.sprintf "%s at batch %d" (Schemes.id_name scheme) b)
+              stats.(bi);
             let tp = median samples.(bi) in
             (* same prepend order on both lists, so map2 pairs each
                repeat's measurement with its own control run *)
@@ -1696,7 +1666,7 @@ let bench_core_cmd =
       let s3 = sample "post_quiesce" in
       [ s0; s1; s2; s3 ]
     in
-    Format.printf "@.elastic memory curve, flat backend (%d nodes churned)@."
+    Format.printf "@.elastic memory curve (%d nodes churned)@."
       churn_nodes;
     Format.printf "%-14s %14s %16s@." "phase" "rss MiB" "committed MiB";
     List.iter
@@ -1716,53 +1686,27 @@ let bench_core_cmd =
       rss_curve;
     Buffer.add_string buf "\n  ],\n";
     Buffer.add_string buf "  \"conservation_ok\": true\n}\n";
-    if json <> "-" then begin
-      let oc = open_out json in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Format.printf "wrote %s@." json
-    end
+    write_json json buf
   in
   Cmd.v
     (Cmd.info "bench-core"
        ~doc:
-         "Multi-domain hash-table throughput of the real backends: flat \
-          cache-aligned arena vs boxed atomics, per scheme and domain \
-          count, with a JSON summary (BENCH_core.json).")
+         "Multi-domain hash-table throughput of the real backend per scheme \
+          and domain count, the batched-execution sweep, and the elastic \
+          memory curve, with a JSON summary (BENCH_core.json).")
     Term.(
-      const run $ schemes $ domains $ ops $ prefill $ repeats $ batches $ json
-      $ pin)
+      const run $ schemes_arg $ domains $ ops $ prefill_arg $ repeats
+      $ batches $ json_arg "BENCH_core.json")
 
 (* --- profile --- *)
 
 (* Cycle attribution: where do the schemes' cycles actually go?  Runs the
-   bench-core batched workload with the phase profiler enabled (a sink
-   carrying [Clock.tsc]), per scheme on both real substrates, and writes
+   core workload (bench-core's batch sweep) with the phase profiler
+   enabled — a sink carrying [Clock.tsc] — per scheme, and writes
    BENCH_profile.json: per-phase sampled-TSC estimates, the traverse
    remainder, and hardware counters where perf_event_open is granted.
    docs/performance.md explains how to read the output. *)
 let profile_cmd =
-  let schemes =
-    let scheme_list_conv =
-      let parse s =
-        let names = String.split_on_char ',' s in
-        let ids = List.filter_map Schemes.id_of_name names in
-        if List.length ids = List.length names && ids <> [] then Ok ids
-        else Error (`Msg (Printf.sprintf "bad scheme list %S" s))
-      in
-      Arg.conv
-        ( parse,
-          fun ppf ids ->
-            Format.pp_print_string ppf
-              (String.concat "," (List.map Schemes.id_name ids)) )
-    in
-    Arg.(
-      value
-      & opt scheme_list_conv
-          Schemes.[ Optimistic_access; Hazard_pointers; Epoch_based ]
-      & info [ "schemes" ] ~docv:"LIST"
-          ~doc:"Comma-separated SMR schemes to profile (default oa,hp,ebr).")
-  in
   let threads =
     Arg.(
       value & opt int 1
@@ -1776,9 +1720,6 @@ let profile_cmd =
     Arg.(
       value & opt int 200_000
       & info [ "ops"; "n" ] ~doc:"Operations per thread per run.")
-  in
-  let prefill =
-    Arg.(value & opt int 1_000 & info [ "prefill"; "p" ] ~doc:"Initial size.")
   in
   let batch =
     Arg.(
@@ -1797,115 +1738,33 @@ let profile_cmd =
              is cheaper but noisier; 0 times every entry and visibly \
              perturbs the run it is measuring.")
   in
-  let json =
-    Arg.(
-      value & opt string "BENCH_profile.json"
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Machine-readable result; $(b,-) suppresses the file.")
-  in
   let run schemes threads ops prefill batch sample_log2 json =
     let host_cores = Oa_runtime.Sysinfo.nproc () in
-    let key_range = 2 * prefill in
-    let window = 32 in
     let hw_events =
       Oa_runtime.Perf.[ Cycles; Instructions; Cache_misses; Branch_misses ]
     in
     let hw_available = Oa_runtime.Perf.available () in
-    (* One profiled run: the bench-core batch-sweep workload (windowed
-       hot keys, 60/20/20 read/insert/delete, steady-state batches with
-       lent buffers) against a sink whose recorders carry TSC phase
-       timers.  Total cycles are per-thread TSC spans summed after join
-       — the same same-thread-difference discipline the phase timers
-       use, so the traverse remainder [total - sum(phases)] is
-       internally consistent. *)
-    let one scheme
-        (make :
-          ?max_threads:int -> unit -> (module Oa_runtime.Runtime_intf.S)) =
-      let module R = (val make ~max_threads:(threads + 1) ()) in
-      let module Sch = Schemes.Make (R) in
-      let module S = (val Sch.pack scheme) in
-      let module H = Oa_structures.Hash_table.Make (S) in
+    (* One profiled run.  Total cycles are the per-thread TSC spans
+       summed after join, so the traverse remainder [total -
+       sum(phases)] is internally consistent with the phase timers. *)
+    let one scheme =
       let sink =
         Oa_obs.Sink.create ~profile_clock:Oa_runtime.Clock.tsc
           ~profile_sample_log2:sample_log2 ()
       in
-      let cfg =
-        {
-          Oa_core.Smr_intf.default_config with
-          Oa_core.Smr_intf.chunk_size = 16;
-          retire_threshold = 64;
-          epoch_threshold = 64;
-        }
-      in
-      let groups = max 1 (ops / max 1 batch) in
-      let executed = groups * batch in
-      let capacity =
-        match scheme with
-        | Schemes.No_reclamation -> prefill + (threads * executed) + 64
-        | _ -> prefill + (48 * 16 * (threads + 1)) + 1_024
-      in
-      let tbl = H.create ~obs:sink ~capacity ~expected_size:prefill cfg in
-      let ctx0 = H.register tbl in
-      let rng = Oa_util.Splitmix.create 7 in
-      let remaining = ref prefill in
-      while !remaining > 0 do
-        let k = 1 + Oa_util.Splitmix.below rng key_range in
-        if H.insert tbl ctx0 k then decr remaining
-      done;
-      let thread_cycles = Array.make threads 0 in
-      let body () =
-        R.par_run ~n:threads (fun tid ->
-            let ctx = H.register tbl in
-            let rng = Oa_util.Splitmix.create (1_000 + (tid * 7919)) in
-            let base = ref 1 in
-            let next i =
-              if i mod 16 = 0 then
-                base := 1 + Oa_util.Splitmix.below rng (key_range - window);
-              let key = !base + Oa_util.Splitmix.below rng window in
-              let op =
-                match Oa_util.Splitmix.below rng 10 with
-                | 0 | 1 | 2 | 3 | 4 | 5 -> `Contains
-                | 6 | 7 -> `Insert
-                | _ -> `Delete
-              in
-              (op, key)
-            in
-            let t0 = Oa_runtime.Clock.tsc () in
-            if batch = 1 then
-              for i = 0 to executed - 1 do
-                match next i with
-                | `Contains, key -> ignore (H.contains tbl ctx key)
-                | `Insert, key -> ignore (H.insert tbl ctx key)
-                | `Delete, key -> ignore (H.delete tbl ctx key)
-              done
-            else begin
-              let bbuf =
-                Array.init batch (fun _ -> { H.op = `Contains; key = 1 })
-              in
-              let keys = Array.make batch 0 in
-              let scratch = Array.make batch 0 in
-              let results = Array.make batch false in
-              for g = 0 to groups - 1 do
-                for j = 0 to batch - 1 do
-                  let op, key = next ((g * batch) + j) in
-                  let r = bbuf.(j) in
-                  r.H.op <- op;
-                  r.H.key <- key
-                done;
-                ignore (H.run_batch tbl ctx ~scratch ~keys ~results bbuf)
-              done
-            end;
-            thread_cycles.(tid) <- Oa_runtime.Clock.tsc () - t0;
-            H.quiesce ctx)
-      in
       (* counters are opened with inherit set, so the spawned benchmark
          domains fold their counts into the parent on exit; reading
          after the join covers the whole measured region *)
-      let (), hw = Oa_runtime.Perf.measure hw_events body in
-      let snap = Oa_obs.Sink.snapshot sink in
-      let total =
-        float_of_int (Array.fold_left ( + ) 0 thread_cycles)
+      let hw = ref [] in
+      let r =
+        core_workload ~obs:sink
+          ~measure:(fun body ->
+            let (), counts = Oa_runtime.Perf.measure hw_events body in
+            hw := counts)
+          ~scheme ~threads ~per_thread:ops ~prefill ~batch ()
       in
+      let snap = Oa_obs.Sink.snapshot sink in
+      let total = float_of_int (Array.fold_left ( + ) 0 r.thread_cycles) in
       let rows =
         List.map
           (fun (name, row) -> (name, row, Oa_obs.Snapshot.phase_estimate row))
@@ -1916,7 +1775,7 @@ let profile_cmd =
          (plus timer overhead and sampling error); clamped because a
          noisy short run can over-attribute *)
       let traverse = Float.max 0. (total -. attributed) in
-      (total, traverse, rows, hw, threads * executed)
+      (total, traverse, rows, !hw, r.executed)
     in
     let buf = Buffer.create 4096 in
     Buffer.add_string buf "{\n";
@@ -1933,78 +1792,65 @@ let profile_cmd =
     let first = ref true in
     List.iter
       (fun scheme ->
+        let total, traverse, rows, hw, executed = one scheme in
+        Format.printf "@.%s (%d ops, batch %d)@." (Schemes.id_name scheme)
+          executed batch;
+        Format.printf "%-16s %12s %10s %8s@." "phase" "est cycles"
+          "cycles/op" "share";
+        let print_row name est =
+          Format.printf "%-16s %12.3e %10.1f %7.1f%%@." name est
+            (est /. float_of_int executed)
+            (100. *. est /. Float.max 1. total)
+        in
+        print_row "traverse" traverse;
+        List.iter (fun (name, _, est) -> print_row name est) rows;
+        Format.printf "%-16s %12.3e %10.1f %7.1f%%@." "total" total
+          (total /. float_of_int executed)
+          100.;
         List.iter
-          (fun (backend_name, make) ->
-            let total, traverse, rows, hw, executed = one scheme make in
-            Format.printf "@.%s on %s backend (%d ops, batch %d)@."
-              (Schemes.id_name scheme) backend_name executed batch;
-            Format.printf "%-16s %12s %10s %8s@." "phase" "est cycles"
-              "cycles/op" "share";
-            let print_row name est =
-              Format.printf "%-16s %12.3e %10.1f %7.1f%%@." name est
-                (est /. float_of_int executed)
-                (100. *. est /. Float.max 1. total)
-            in
-            print_row "traverse" traverse;
-            List.iter (fun (name, _, est) -> print_row name est) rows;
-            Format.printf "%-16s %12.3e %10.1f %7.1f%%@." "total" total
-              (total /. float_of_int executed)
-              100.;
-            List.iter
-              (fun (n, v) -> Format.printf "hw %-18s %d@." n v)
-              hw;
-            if !first then first := false else Buffer.add_string buf ",\n";
+          (fun (n, v) -> Format.printf "hw %-18s %d@." n v)
+          hw;
+        if !first then first := false else Buffer.add_string buf ",\n";
+        Printf.bprintf buf
+          "    {\"scheme\": \"%s\",\n\
+          \     \"total_cycles\": %.0f,\n\
+          \     \"cycles_per_op\": %.1f,\n\
+          \     \"phases\": [\n"
+          (Schemes.id_name scheme) total
+          (total /. float_of_int executed);
+        (* the traverse remainder first, then the instrumented rows;
+           hits/sampled are null for traverse (it is computed, not
+           timed) *)
+        Printf.bprintf buf
+          "       {\"phase\": \"traverse\", \"hits\": null, \"sampled\": \
+           null, \"cycles_est\": %.0f, \"share\": %.4f}"
+          traverse
+          (traverse /. Float.max 1. total);
+        List.iter
+          (fun (name, (hits, sampled, cycles), est) ->
             Printf.bprintf buf
-              "    {\"scheme\": \"%s\", \"backend\": \"%s\",\n\
-              \     \"total_cycles\": %.0f,\n\
-              \     \"cycles_per_op\": %.1f,\n\
-              \     \"phases\": [\n"
-              (Schemes.id_name scheme) backend_name total
-              (total /. float_of_int executed);
-            (* the traverse remainder first, then the instrumented rows;
-               hits/sampled are null for traverse (it is computed, not
-               timed) *)
-            Printf.bprintf buf
-              "       {\"phase\": \"traverse\", \"hits\": null, \"sampled\": \
-               null, \"cycles_est\": %.0f, \"share\": %.4f}"
-              traverse
-              (traverse /. Float.max 1. total);
-            List.iter
-              (fun (name, (hits, sampled, cycles), est) ->
-                Printf.bprintf buf
-                  ",\n\
-                  \       {\"phase\": \"%s\", \"hits\": %d, \"sampled\": %d, \
-                   \"cycles_sampled\": %d, \"cycles_est\": %.0f, \"share\": \
-                   %.4f}"
-                  name hits sampled cycles est
-                  (est /. Float.max 1. total))
-              rows;
-            Buffer.add_string buf "\n     ],\n";
-            Buffer.add_string buf "     \"hw\": {";
-            Buffer.add_string buf
-              (String.concat ", "
-                 (List.map
-                    (fun ev ->
-                      let n = Oa_runtime.Perf.event_name ev in
-                      match List.assoc_opt n hw with
-                      | Some v -> Printf.sprintf "\"%s\": %d" n v
-                      | None -> Printf.sprintf "\"%s\": null" n)
-                    hw_events));
-            Buffer.add_string buf "}}")
-          [
-            ( "real",
-              fun ?max_threads () ->
-                Oa_runtime.Real_backend.make ?max_threads () );
-            ("real-boxed", Oa_runtime.Real_backend.make_boxed);
-          ])
+              ",\n\
+              \       {\"phase\": \"%s\", \"hits\": %d, \"sampled\": %d, \
+               \"cycles_sampled\": %d, \"cycles_est\": %.0f, \"share\": \
+               %.4f}"
+              name hits sampled cycles est
+              (est /. Float.max 1. total))
+          rows;
+        Buffer.add_string buf "\n     ],\n";
+        Buffer.add_string buf "     \"hw\": {";
+        Buffer.add_string buf
+          (String.concat ", "
+             (List.map
+                (fun ev ->
+                  let n = Oa_runtime.Perf.event_name ev in
+                  match List.assoc_opt n hw with
+                  | Some v -> Printf.sprintf "\"%s\": %d" n v
+                  | None -> Printf.sprintf "\"%s\": null" n)
+                hw_events));
+        Buffer.add_string buf "}}")
       schemes;
     Buffer.add_string buf "\n  ]\n}\n";
-    if json <> "-" then begin
-      let oc = open_out json in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Format.printf "@.wrote %s@." json
-    end
+    write_json json buf
   in
   Cmd.v
     (Cmd.info "profile"
@@ -2012,12 +1858,12 @@ let profile_cmd =
          "Cycle attribution for the SMR schemes: sampled-TSC per-phase \
           timers (warning checks, hazard publication, epoch \
           announcement, alloc/retire/reclaim, batch overhead) over the \
-          bench-core workload on both real substrates, with hardware \
+          core workload on the real backend, with hardware \
           counters when perf_event_open is permitted.  Writes \
           BENCH_profile.json.")
     Term.(
-      const run $ schemes $ threads $ ops $ prefill $ batch $ sample_log2
-      $ json)
+      const run $ schemes_arg $ threads $ ops $ prefill_arg $ batch
+      $ sample_log2 $ json_arg "BENCH_profile.json")
 
 (* --- schemes --- *)
 

@@ -1,25 +1,18 @@
 #!/bin/sh
 # CI perf gate over BENCH_core.json (docs/performance.md).
 #
-# Two regressions this repo has actually shipped are turned into hard
-# CI failures here:
-#
-#   1. flat >= boxed: the flat cache-aligned arena exists to beat the
-#      boxed-atomics baseline; every (scheme, domains) point must have
-#      flat/boxed ratio >= TOL.
-#   2. batch >= per-op: run_batch amortisation must not cost throughput;
-#      every scheme's speedup at the largest batch size must be >= TOL.
+# A regression this repo has actually shipped is turned into a hard CI
+# failure here: run_batch amortisation must not cost throughput, so
+# every scheme's speedup at the largest batch size must be >= TOL.
 #
 # TOL defaults to 0.90 — a 10% tolerance on top of bench-core's own
-# median-of-N repeats, sized to the noise floor of shared CI runners,
-# not to forgive real regressions (a genuine flat<boxed inversion
-# measures well below 0.90 once the median absorbs scheduler noise).
+# trimmed mean over paired repeats, sized to the noise floor of shared
+# CI runners, not to forgive real regressions.
 #
-# Points measured with more domains than the machine has cores carry
-# "oversubscribed": true and are reported but NOT gated: on a 1-2 core
-# runner an 8-domain point measures scheduler time-slicing, and which
-# substrate wins that coin flip is noise.  The batch gate likewise only
-# applies when the sweep itself ran non-oversubscribed.
+# A batch sweep run with more domains than the machine has cores
+# carries "oversubscribed": true and is reported but NOT gated: on a 1-2
+# core runner it measures scheduler time-slicing, and which batch size
+# wins that coin flip is noise.
 #
 # Usage: perf_gate.sh [BENCH_core.json]
 #   OA_PERF_GATE_TOL=0.85  override the tolerance
@@ -35,30 +28,7 @@ TOL="${OA_PERF_GATE_TOL:-0.90}"
 test -s "$JSON" || { echo "perf-gate: $JSON missing or empty" >&2; exit 1; }
 
 awk -v tol="$TOL" '
-  # --- gate 1: flat/boxed ratio per non-oversubscribed point ---
-  /"flat_over_boxed_points"/ { in_ratio = 1; next }
-  in_ratio && /\]/ { in_ratio = 0 }
-  in_ratio && /"ratio"/ {
-    scheme = $0;  sub(/.*"scheme": "/, "", scheme);   sub(/".*/, "", scheme)
-    domains = $0; sub(/.*"domains": /, "", domains);  sub(/,.*/, "", domains)
-    ratio = $0;   sub(/.*"ratio": /, "", ratio);      sub(/[,}].*/, "", ratio)
-    if ($0 ~ /"oversubscribed": true/) {
-      printf "perf-gate: skip flat/boxed %-4s @%s domains: %.3f (oversubscribed)\n", \
-        scheme, domains, ratio
-      next
-    }
-    gated++
-    if (ratio + 0 < tol + 0) {
-      printf "perf-gate: FAIL flat/boxed %-4s @%s domains: %.3f < %.2f\n", \
-        scheme, domains, ratio, tol
-      fails++
-    } else {
-      printf "perf-gate: ok   flat/boxed %-4s @%s domains: %.3f\n", \
-        scheme, domains, ratio
-    }
-  }
-
-  # --- gate 2: batch speedup per scheme (skip if sweep oversubscribed) ---
+  # --- batch speedup per scheme (skip if sweep oversubscribed) ---
   /"batch_sweep"/ { in_batch = 1 }
   in_batch && /"oversubscribed"/ { batch_over = ($0 ~ /true/) }
   in_batch && /"speedup_at_batch_/ {

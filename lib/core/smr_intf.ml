@@ -232,8 +232,10 @@ module type S = sig
       costs more than it can possibly recover. *)
 
   val alloc : ctx -> Ptr.t
-  (** Allocate a zeroed node.  May internally run reclamation; never raises
-      {!Restart} itself (a subsequent barrier will, if a phase started).
+  (** Allocate a zeroed node.  May internally run reclamation.  Call it
+      inside a generator: a scheme whose reclamation is blocked by the
+      stalled operation itself (Anchors) rolls that operation back.
+      @raise Restart when the calling operation must roll back.
       @raise Arena_exhausted when the arena is undersized. *)
 
   val dealloc : ctx -> Ptr.t -> unit

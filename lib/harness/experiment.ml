@@ -23,10 +23,7 @@ let structure_name = function
 
 type backend_spec =
   | Sim of { cost_model : CM.t; quantum : int }
-  | Real  (** domains over the flat cache-aligned arena (the default) *)
-  | Real_boxed
-      (** domains over per-cell boxed [Atomic.t]s; the A/B baseline the
-          flat backend is measured against (docs/performance.md) *)
+  | Real  (** domains over the flat cache-aligned arena *)
 
 type spec = {
   structure : structure_kind;
@@ -118,8 +115,6 @@ let make_backend ?trace spec : (module Oa_runtime.Runtime_intf.S) =
       Oa_runtime.Sim_backend.make ~seed:spec.seed ~quantum
         ~max_threads:(spec.threads + 1) ?trace cost_model
   | Real -> Oa_runtime.Real_backend.make ~max_threads:(spec.threads + 1) ()
-  | Real_boxed ->
-      Oa_runtime.Real_backend.make_boxed ~max_threads:(spec.threads + 1) ()
 
 (* The simulator charges shared-memory accesses; fixed per-operation compute
    comes from the cost model's [op_overhead] plus a per-structure term.  The

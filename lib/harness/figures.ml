@@ -93,11 +93,18 @@ let standard_panels =
 
 type point = { mean_throughput : float; summary : Stats.summary }
 
+(* Called with every measured point, in run order.  The golden-figures
+   test installs a recorder here to pin the simulated numbers at full
+   precision without re-running any figure. *)
+let on_measure : (E.spec -> point -> unit) ref = ref (fun _ _ -> ())
+
 let measure spec =
   let results = E.run_repeated ~repeats:(repeats ()) spec in
   let xs = List.map (fun r -> r.E.throughput) results in
   let summary = Stats.summary xs in
-  { mean_throughput = summary.Stats.mean; summary }
+  let p = { mean_throughput = summary.Stats.mean; summary } in
+  !on_measure spec p;
+  p
 
 (* Run one panel over the thread list: NoRecl plus the panel's schemes. *)
 let run_panel ~cm ~mix ~delta panel =

@@ -176,12 +176,23 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
         let rkeys = Array.make cap 0 in
         let rins = Array.make cap true in
         let n = ref 0 in
+        (* A delete only marks its node; the unlink and retire are left
+           to the next traversal of that bucket.  Live traffic supplies
+           those traversals, but the log holds effective mutations only,
+           so a replayed delete is rarely followed by another operation
+           on its bucket: at a 0.75 load factor the marked nodes would
+           pile up unretired — invisible to reclamation — until the
+           arena ran dry.  The lookup right after each replayed delete
+           is that traversal: it unlinks and retires the node at once. *)
         let flush () =
           if !n > 0 then begin
             let keys = Array.sub rkeys 0 !n in
             H.run_batch_keyed tbl ctx ~keys (fun i ->
                 if rins.(i) then ignore (H.insert tbl ctx keys.(i))
-                else ignore (H.delete tbl ctx keys.(i)));
+                else begin
+                  ignore (H.delete tbl ctx keys.(i));
+                  ignore (H.contains tbl ctx keys.(i))
+                end);
             n := 0
           end
         in

@@ -4,8 +4,7 @@
     atomic operations (seq_cst) on individual words.  This is the storage
     substrate of {!Real_backend}: node fields become adjacent words of one
     buffer (node-major), so all fields of a node share a cache line and
-    neighbouring nodes never false-share — unlike the boxed variant where
-    every cell is a separate GC-managed [Atomic.t].
+    neighbouring nodes never false-share.
 
     The buffer is an [int]-kind [Bigarray.Array1]: elements are stored
     untagged but surface as immediate OCaml ints, so {!get} compiles to a

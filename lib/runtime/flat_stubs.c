@@ -15,8 +15,6 @@
    reads carry no barrier and may observe stale values).  None of the stubs
    allocates or raises, so they are declared [@@noalloc]. */
 
-#define _GNU_SOURCE /* sched_setaffinity / CPU_SET in oa_sys_pin_cpu */
-
 #include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -142,27 +140,6 @@ CAMLprim value oa_sys_page_size(value unit) {
   long p = sysconf(_SC_PAGESIZE);
   return Val_long(p > 0 ? p : 4096);
 }
-
-/* Pin the calling thread to one CPU.  Benchmark domains that pin
-   themselves stop migrating between cores mid-measurement, which removes
-   a large noise source from the flat-vs-boxed sweeps (bench-core --pin);
-   correctness never depends on it.  Returns false where unsupported
-   (non-Linux) or refused (cpuset-restricted containers), and callers
-   treat that as "measure unpinned". */
-#ifdef __linux__
-#include <sched.h>
-CAMLprim value oa_sys_pin_cpu(value vcpu) {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET((int)Long_val(vcpu), &set);
-  return Val_bool(sched_setaffinity(0, sizeof(set), &set) == 0);
-}
-#else
-CAMLprim value oa_sys_pin_cpu(value vcpu) {
-  (void)vcpu;
-  return Val_false;
-}
-#endif
 
 /* Bulk fill of [len] words from [off] — the node-zeroing primitive behind
    Arena.zero_node (the paper's memset(obj, 0) in Algorithm 5).  Stores go

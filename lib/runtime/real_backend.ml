@@ -1,106 +1,72 @@
 (** Real backend over OCaml 5 [Domain]s.
 
     Gives the library a genuinely concurrent implementation: logical
-    threads are domains.  Two cell substrates are provided behind the same
-    {!Runtime_intf.S} signature:
-
-    - {!make} (the default, ["real"]): cells are words of a flat,
-      contiguous, 64-byte-aligned {!Flat_mem} arena.  [node_cells] is
-      node-major with the stride padded to a cache-line multiple, so all
-      fields of a node share a line and neighbouring nodes (and each
-      thread's hazard/warning block) never false-share; standalone cells
-      get a full line each.  Reads are plain inlined loads — the paper's
-      barrier-free optimistic read — and all mutating operations are
-      seq_cst C atomics.
-
-    - {!make_boxed} (["real-boxed"]): the historical substrate where every
-      cell is a separate boxed [Atomic.t], kept for A/B measurement of what
-      the flat layout buys (see docs/performance.md).  It cannot honour the
-      [node_cells] layout contract: fields of one node land on whatever
-      cache lines the GC picks.
-
-    Both variants implement [fence] as a genuine
+    threads are domains, and cells are words of a flat, contiguous,
+    64-byte-aligned {!Flat_mem} arena — the paper's pre-allocated heap
+    (Assumption 3.1).  [node_cells] is node-major with the stride padded
+    to a cache-line multiple, so all fields of a node share a line and
+    neighbouring nodes (and each thread's hazard/warning block) never
+    false-share; standalone cells get two full lines each.  Reads are
+    plain inlined loads — the paper's barrier-free optimistic read — and
+    all mutating operations are seq_cst C atomics.  [fence] is a genuine
     [atomic_thread_fence(seq_cst)] (no shared fence cell, so concurrent
-    fences do not contend) and [cpu_relax] as the hardware spin-wait hint.
+    fences do not contend) and [cpu_relax] the hardware spin-wait hint.
+
     Wall-clock timings are only meaningful on a machine with enough cores;
     correctness under true preemption holds on any machine. *)
 
 let tid_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 
-(* Opt-in CPU pinning for benchmark domains (bench-core --pin sets the
-   variable for its own process).  Pinning thread [i] to core [i mod
-   nproc] stops mid-measurement core migration — a large noise source in
-   the flat-vs-boxed sweeps — and makes per-thread TSC deltas coherent
-   for the profiler.  Read once: the knob is a process-level decision. *)
-let pin_cpus =
-  lazy
-    (match Sys.getenv_opt "OA_PIN_CPUS" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false)
-
-(* Domain management shared by both cell substrates. *)
-module Threads (M : sig
-  val max_threads : int
-end) =
-struct
-  let max_threads = M.max_threads
-  let last_elapsed = ref 0.0
-  let last_n = ref 0
-
-  let par_run ~n f =
-    if n > max_threads then
-      invalid_arg "Real_backend.par_run: too many threads";
-    last_n := n;
-    let t0 = Clock.now_ns () in
-    let pin = Lazy.force pin_cpus in
-    let ncpu = if pin then Sysinfo.nproc () else 1 in
-    let body i () =
-      Domain.DLS.set tid_key i;
-      if pin then ignore (Sysinfo.pin_to_cpu (i mod ncpu));
-      f i
-    in
-    let domains = Array.init n (fun i -> Domain.spawn (body i)) in
-    Array.iter Domain.join domains;
-    last_elapsed := Clock.elapsed_s ~since:t0
-
-  let elapsed_seconds () = !last_elapsed
-  let now_cycles () = Clock.now_ns ()
-  let tid () = Domain.DLS.get tid_key
-  let n_threads () = !last_n
-
-  let stall c =
-    (* Approximate [c] nanoseconds; granularity of sleep is coarse, which
-       is fine for failure injection. *)
-    if c > 100_000 then Unix.sleepf (float_of_int c *. 1e-9)
-    else
-      let t0 = Clock.now_ns () in
-      while Clock.now_ns () - t0 < c do
-        Domain.cpu_relax ()
-      done
-
-  let work _ = ()
-  let op_work () = ()
-  let fence () = Flat_mem.fence ()
-  let cpu_relax () = Flat_mem.cpu_relax ()
-
-  (* Boxed rcells serve both variants: chunk lists, registries and other
-     pool states are OCaml values and stay in the GC heap. *)
-  type 'a rcell = 'a Atomic.t
-
-  let rcell v = Atomic.make v
-  let rread r = Atomic.get r
-  let rwrite r v = Atomic.set r v
-  let rcas r e v = Atomic.compare_and_set r e v
-end
-
 let make ?(max_threads = 128) ?(arena_words = 1 lsl 27) () :
     (module Runtime_intf.S) =
   (module struct
     let name = "real"
+    let max_threads = max_threads
+    let last_elapsed = ref 0.0
+    let last_n = ref 0
 
-    include Threads (struct
-      let max_threads = max_threads
-    end)
+    let par_run ~n f =
+      if n > max_threads then
+        invalid_arg "Real_backend.par_run: too many threads";
+      last_n := n;
+      let t0 = Clock.now_ns () in
+      let domains =
+        Array.init n (fun i ->
+            Domain.spawn (fun () ->
+                Domain.DLS.set tid_key i;
+                f i))
+      in
+      Array.iter Domain.join domains;
+      last_elapsed := Clock.elapsed_s ~since:t0
+
+    let elapsed_seconds () = !last_elapsed
+    let now_cycles () = Clock.now_ns ()
+    let tid () = Domain.DLS.get tid_key
+    let n_threads () = !last_n
+
+    let stall c =
+      (* Approximate [c] nanoseconds; granularity of sleep is coarse,
+         which is fine for failure injection. *)
+      if c > 100_000 then Unix.sleepf (float_of_int c *. 1e-9)
+      else
+        let t0 = Clock.now_ns () in
+        while Clock.now_ns () - t0 < c do
+          Domain.cpu_relax ()
+        done
+
+    let work _ = ()
+    let op_work () = ()
+    let fence () = Flat_mem.fence ()
+    let cpu_relax () = Flat_mem.cpu_relax ()
+
+    (* Reference cells hold OCaml values (chunk lists, registries, pool
+       states), so they stay boxed [Atomic.t]s in the GC heap. *)
+    type 'a rcell = 'a Atomic.t
+
+    let rcell v = Atomic.make v
+    let rread r = Atomic.get r
+    let rwrite r v = Atomic.set r v
+    let rcas r e v = Atomic.compare_and_set r e v
 
     (* A cell is a word offset into this backend's single contiguous
        arena — an immediate int, so cells, hazard-slot arrays and the node
@@ -212,36 +178,4 @@ let make ?(max_threads = 128) ?(arena_words = 1 lsl 27) () :
         Flat_mem.fill arena !lo len 0;
         Flat_mem.decommit arena !lo len
       end
-  end)
-
-let make_boxed ?(max_threads = 128) () : (module Runtime_intf.S) =
-  (module struct
-    let name = "real-boxed"
-
-    include Threads (struct
-      let max_threads = max_threads
-    end)
-
-    type cell = int Atomic.t
-
-    let cell v = Atomic.make v
-
-    (* No layout control: every cell is its own GC object, so one node's
-       fields land on different cache lines (kept as the A/B baseline the
-       flat backend is measured against). *)
-    let node_cells ~nodes ~fields =
-      if nodes <= 0 || fields <= 0 then
-        invalid_arg "Real_backend.node_cells";
-      Array.init fields (fun _ -> Array.init nodes (fun _ -> Atomic.make 0))
-
-    let read = Atomic.get
-    let read_own = Atomic.get
-    let write c v = Atomic.set c v
-    let cas c e v = Atomic.compare_and_set c e v
-    let faa c d = Atomic.fetch_and_add c d
-    let zero_cells a = Array.iter (fun c -> Atomic.set c 0) a
-
-    (* GC-managed cells cannot release pages; zeroing keeps the contents
-       contract so elastic arenas behave identically on this substrate. *)
-    let decommit_cells m = Array.iter zero_cells m
   end)

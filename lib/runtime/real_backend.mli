@@ -16,9 +16,3 @@ val make :
     arena reservation; pages are committed lazily, so the default costs
     resident memory only as cells are carved.  Carving past the
     reservation raises [Failure]. *)
-
-val make_boxed : ?max_threads:int -> unit -> (module Runtime_intf.S)
-(** [make_boxed ()] builds the historical ["real-boxed"] runtime where
-    every cell is a separate boxed [Atomic.t] — no layout control, each
-    read chases a GC pointer.  Kept for A/B measurement against the flat
-    substrate (CLI: [--backend real-boxed]; see docs/performance.md). *)

@@ -4,42 +4,40 @@
     Two backends implement it: {!Sim_backend} (discrete-event simulated
     multicore with a cycle-cost model — see DESIGN.md for why a simulator
     substitutes for the paper's 64-core testbeds) and {!Real_backend}
-    (OCaml 5 [Domain]s and [Atomic]s).  Backends are instantiated per
-    experiment as first-class modules and carry their own state. *)
+    (OCaml 5 [Domain]s over one flat word arena).  Backends are
+    instantiated per experiment as first-class modules and carry their
+    own state. *)
 
 module type S = sig
   val name : string
-  (** Backend identifier: ["sim"], ["real"] (flat arena) or ["real-boxed"]. *)
+  (** Backend identifier: ["sim"] or ["real"]. *)
 
   type cell
   (** An int-valued shared memory location supporting atomic operations.
       Representation is backend-owned: a line/value pair charged by the
-      cache cost model on the sim backend, a [(buffer, offset)] handle into
-      one contiguous 64-byte-aligned word arena on the flat real backend,
-      and a boxed [Atomic.t] on the boxed real backend. *)
+      cache cost model on the sim backend, a word offset into one
+      contiguous 64-byte-aligned word arena on the real backend. *)
 
   type 'a rcell
   (** A shared location holding a boxed OCaml value; [rcas] compares with
       physical equality, like [Atomic.t] on heap values. *)
 
   val cell : int -> cell
-  (** Allocate a cell on its own cache line.  Guaranteed by the sim backend
-      (fresh modelled line) and the flat real backend (a full 64-byte line
-      per standalone cell); the boxed real backend allocates a heap
-      [Atomic.t] whose placement is up to the GC. *)
+  (** Allocate a cell on its own cache line: a fresh modelled line on the
+      sim backend, two full 64-byte lines per standalone cell on the real
+      backend (so the adjacent-line prefetcher cannot couple two hot
+      cells). *)
 
   val node_cells : nodes:int -> fields:int -> cell array array
   (** [node_cells ~nodes ~fields] allocates storage for [nodes] heap nodes
       of [fields] words each, laid out {e node-major}: all fields of one
       node share a cache line, and distinct nodes never share one.  Indexed
       [field].(node).  The sim backend models this by putting each node's
-      fields on one costed line; the flat real backend delivers it
-      physically ([base = node * stride], stride padded to a cache-line
-      multiple, from one contiguous buffer — so a per-thread hazard/warning
-      block allocated as [node_cells ~nodes:1] occupies its own padded
-      region).  The boxed real backend cannot honour the layout contract
-      (every cell is a separate GC object on whatever line the allocator
-      picks); it is kept only as an A/B baseline for the flat backend. *)
+      fields on one costed line; the real backend delivers it physically
+      ([base = node * stride], stride padded to a cache-line multiple, from
+      one contiguous buffer — so a per-thread hazard/warning block
+      allocated as [node_cells ~nodes:1] occupies its own padded
+      region). *)
 
   val read : cell -> int
 
@@ -64,28 +62,28 @@ module type S = sig
   (** [faa c d] — atomic fetch-and-add, returns the previous value. *)
 
   val fence : unit -> unit
-  (** Full memory fence.  On the real backends this is a genuine
+  (** Full memory fence.  On the real backend this is a genuine
       [atomic_thread_fence(seq_cst)] touching no shared location, so
       concurrent fences do not contend; the sim backend charges
       {!Oa_simrt.Cost_model.t.fence} and yields. *)
 
   val zero_cells : cell array -> unit
   (** Zero every cell of the array.  When the cells are one node's fields
-      (one [node_cells] column), the flat real backend issues a single bulk
-      fill over their contiguous words — the [memset(obj, 0)] of the
-      paper's Algorithm 5 — with word-granular stores so racing optimistic
-      readers never observe a torn word; other backends write each cell. *)
+      (one [node_cells] column), the real backend fills their contiguous
+      words — the [memset(obj, 0)] of the paper's Algorithm 5 — with
+      word-granular stores so racing optimistic readers never observe a
+      torn word; the sim backend writes each cell. *)
 
   val decommit_cells : cell array array -> unit
   (** [decommit_cells m] takes the node-major matrix of one {!node_cells}
       carve (indexed [field].(node)) whose nodes are all free, zeroes every
       word of the carve (padding words included) and — where the substrate
-      can — returns the underlying physical pages to the OS.  The flat real
+      can — returns the underlying physical pages to the OS.  The real
       backend bulk-fills the span then [madvise(MADV_DONTNEED)]s its
       page-aligned interior: the mapping stays intact, so a stale
       optimistic reader racing with the decommit loads an old word or a
-      zero, never faulting (the paper's Assumption 3.1).  The sim and
-      boxed backends just zero each cell.  Afterwards the cells remain
+      zero, never faulting (the paper's Assumption 3.1).  The sim backend
+      just zeroes each cell.  Afterwards the cells remain
       valid and read 0; reusing them needs no recommit step (pages
       re-fault zeroed on the next store). *)
 

@@ -1,6 +1,5 @@
 external nproc : unit -> int = "oa_sys_nproc" [@@noalloc]
 external page_size : unit -> int = "oa_sys_page_size" [@@noalloc]
-external pin_to_cpu : int -> bool = "oa_sys_pin_cpu" [@@noalloc]
 
 (* /proc/self/statm: "size resident shared text lib data dt", in pages.
    Linux-only; any parse or IO failure degrades to 0 so callers can treat

@@ -9,12 +9,6 @@ val nproc : unit -> int
 val page_size : unit -> int
 (** VM page size in bytes (4096 on mainstream Linux). *)
 
-val pin_to_cpu : int -> bool
-(** [pin_to_cpu i] pins the calling thread to CPU [i]
-    ([sched_setaffinity]); [false] where unsupported or refused.  Used by
-    benchmark domains (bench-core [--pin] / [OA_PIN_CPUS=1]) to stop
-    mid-measurement core migration; never required for correctness. *)
-
 val rss_bytes : unit -> int
 (** Resident set size of the current process in bytes, read from
     [/proc/self/statm].  Returns 0 on platforms without procfs — callers

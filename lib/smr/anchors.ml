@@ -48,11 +48,15 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
     mutable retired : retired_entry array;
     mutable n_retired : int;
     mutable scan_count : int;
+    mutable stalls : int;
+        (* stall scans rolled back in the current operation; -1 between
+           operations *)
     last_seqs : (int, int) Hashtbl.t;  (* thread id -> seq at previous scan *)
     mutable alloc_chunk : VP.chunk;
     mutable s_allocs : int;
     mutable s_retires : int;
     mutable s_recycled : int;
+    mutable s_restarts : int;
     mutable s_phases : int;
     mutable s_fences : int;
     o : Oa_obs.Recorder.t option;
@@ -108,11 +112,13 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
         retired = Array.make (max 16 (2 * mm.cfg.I.retire_threshold)) { idx = -1; stamp = 0 };
         n_retired = 0;
         scan_count = 1;
+        stalls = -1;
         last_seqs = Hashtbl.create 16;
         alloc_chunk = VP.make_chunk mm.cfg.I.chunk_size;
         s_allocs = 0;
         s_retires = 0;
         s_recycled = 0;
+        s_restarts = 0;
         s_phases = 0;
         s_fences = 0;
         o;
@@ -132,10 +138,12 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
 
   let op_begin ctx =
     ctx.reads <- 0;
+    ctx.stalls <- 0;
     bump_seq ctx true
 
   let op_end ctx =
     R.write ctx.anchor no_hp;
+    ctx.stalls <- -1;
     bump_seq ctx false
 
   (* Anchoring is interval-based within each operation (sequence number,
@@ -185,7 +193,10 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
   let cas _ d = R.cas d.target d.expected d.new_value
   let protect_descs _ _ = ()
   let clear_descs _ = ()
-  let on_restart _ = ()
+  (* The only restart is a stall rollback ([refill]): the generator runs
+     again from scratch holding no references, which is a new anchor
+     interval. *)
+  let on_restart ctx = bump_seq ctx true
 
   let scan ctx =
     let mm = ctx.mm in
@@ -287,6 +298,18 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
        fully-free chunks can shed their pages *)
     VP.drain_ready ?obs:ctx.o ~arena:ctx.mm.arena ~ready:ctx.mm.ready ()
 
+  (* A stall scan that frees nothing is waiting on an active thread that
+     has not moved its [seq] since the previous scan — and a thread
+     stalled here is such a thread: it cannot end its operation until the
+     allocation succeeds.  Alone, it blocks its own grace period forever;
+     several stalled at once block each other's.  So a fruitless stall
+     scan rolls the caller's operation back: the restarted generator
+     holds no references, [on_restart] moves [seq], and the next scans
+     (the caller's and everyone else's) can free.  Bounded per operation,
+     so an arena that is genuinely too small still ends in
+     [Arena_exhausted]. *)
+  let max_stall_rollbacks = 64
+
   let refill ctx =
     let mm = ctx.mm in
     VP.refill ?obs:ctx.o ~arena:mm.arena ~ready:mm.ready
@@ -294,7 +317,14 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
       ~reclaim:(fun ~attempt:_ ->
         let before = ctx.s_recycled in
         scan ctx;
-        ctx.s_recycled > before)
+        if ctx.s_recycled > before then true
+        else if ctx.stalls >= 0 && ctx.stalls < max_stall_rollbacks then begin
+          ctx.stalls <- ctx.stalls + 1;
+          ctx.s_restarts <- ctx.s_restarts + 1;
+          I.obs_incr ctx.o Oa_obs.Event.Rollback;
+          raise I.Restart
+        end
+        else false)
       ()
 
   let alloc ctx =
@@ -321,7 +351,7 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
             I.allocs = c.s_allocs;
             retires = c.s_retires;
             recycled = c.s_recycled;
-            restarts = 0;
+            restarts = c.s_restarts;
             phases = c.s_phases;
             fences = c.s_fences;
           })

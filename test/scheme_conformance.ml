@@ -186,10 +186,17 @@ let prop_differential id =
 
 (* --- conservation + quiesce under a tight arena --- *)
 
+(* Scan and epoch thresholds far above the arena slack: no reclamation
+   pass runs until the arena is dry, so the first one comes from an
+   allocation stall in the middle of an operation — the position
+   [Experiment]'s delta-sized thresholds put a single thread in. *)
+let stall_cfg =
+  { hostile_cfg with I.retire_threshold = 1_000; epoch_threshold = 1_000 }
+
 let churn_rounds = 30
 let churn_keys = 16
 
-let test_tight_churn id () =
+let test_tight_churn ?(cfg = hostile_cfg) id () =
   let module R = (val sim ()) in
   let module Sch = Schemes.Make (R) in
   let module S = (val Sch.pack id) in
@@ -200,7 +207,7 @@ let test_tight_churn id () =
   let capacity =
     if reclaims id then 128 else (churn_rounds * churn_keys) + 128
   in
-  let tbl = H.create ~obs:sink ~capacity ~expected_size:8 hostile_cfg in
+  let tbl = H.create ~obs:sink ~capacity ~expected_size:8 cfg in
   let ctx = H.register tbl in
   for _round = 1 to churn_rounds do
     for k = 1 to churn_keys do
@@ -300,6 +307,8 @@ let suite id =
     [
       Alcotest.test_case "conservation + quiesce (tight arena)" `Quick
         (test_tight_churn id);
+      Alcotest.test_case "reclaims on an allocation stall" `Quick
+        (test_tight_churn ~cfg:stall_cfg id);
       Alcotest.test_case "elastic churn decommits" `Quick
         (test_elastic_churn id);
       Alcotest.test_case "crash recovery" `Quick (test_crash id);

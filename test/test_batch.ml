@@ -10,13 +10,13 @@
    batch amortisation (a leaked warning bit, a hazard carried past its
    validity, an epoch announcement skipped).
 
-   The matrix covers all seven schemes on the simulated backend and both
-   real substrates (flat arena and boxed atomics), with a deliberately
-   hostile SMR configuration (chunk 2, scan/phase thresholds of 4) so
-   reclamation runs many times inside each sequence, and asserts
-   retire/reclaim conservation after a final quiesce.  A multi-domain
-   smoke per scheme drives the batched path concurrently on the flat real
-   backend and re-checks conservation and structural validity. *)
+   The matrix covers all seven schemes on the simulated and the real
+   backend, with a deliberately hostile SMR configuration (chunk 2,
+   scan/phase thresholds of 4) so reclamation runs many times inside each
+   sequence, and asserts retire/reclaim conservation after a final
+   quiesce.  A multi-domain smoke per scheme drives the batched path
+   concurrently on the real backend and re-checks conservation and
+   structural validity. *)
 
 module I = Oa_core.Smr_intf
 module Schemes = Oa_smr.Schemes
@@ -198,8 +198,6 @@ let backends =
         Oa_runtime.Sim_backend.make ~seed:11 ~quantum:128 ~max_threads:2
           Oa_simrt.Cost_model.amd_opteron );
     ("real-flat", fun () -> Oa_runtime.Real_backend.make ~max_threads:2 ());
-    ( "real-boxed",
-      fun () -> Oa_runtime.Real_backend.make_boxed ~max_threads:2 () );
   ]
 
 let gen_case =

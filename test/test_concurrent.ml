@@ -134,14 +134,8 @@ let test_skip_tight_arena scheme seed () =
   if scheme <> Oa_smr.Schemes.No_reclamation then
     Alcotest.(check bool) "reclamation was exercised" true (st.I.recycled > 0)
 
-(* Real backends — flat arena and boxed atomics — under true preemptive
-   domains (fewer rounds: wall-clock).  Conservation of retires vs
-   recycles must hold on both substrates. *)
-let real_variants =
-  [
-    ("flat", fun () -> Oa_runtime.Real_backend.make ());
-    ("boxed", fun () -> Oa_runtime.Real_backend.make_boxed ());
-  ]
+(* The real backend under true preemptive domains (fewer rounds:
+   wall-clock).  Conservation of retires vs recycles must hold. *)
 
 let check_conservation st =
   Alcotest.(check bool) "ops ran" true (st.I.allocs > 0);
@@ -149,18 +143,14 @@ let check_conservation st =
     "conservation: recycled <= retires" true
     (st.I.recycled <= st.I.retires)
 
-let test_list_real (mk : unit -> (module Oa_runtime.Runtime_intf.S)) scheme
-    () =
-  let r = mk () in
-  let module R = (val r) in
+let test_list_real scheme () =
+  let module R = (val Oa_runtime.Real_backend.make ()) in
   check_conservation
     (stress_list (module R) scheme ~threads:4 ~rounds:2_000 ~stripe:16
        ~capacity:40_000)
 
-let test_skip_real (mk : unit -> (module Oa_runtime.Runtime_intf.S)) scheme
-    () =
-  let r = mk () in
-  let module R = (val r) in
+let test_skip_real scheme () =
+  let module R = (val Oa_runtime.Real_backend.make ()) in
   check_conservation
     (stress_skip (module R) scheme ~threads:4 ~rounds:1_000 ~stripe:12
        ~capacity:40_000)
@@ -196,11 +186,8 @@ let () =
         @ scheme_cases "list seed2" (fun s -> test_list_tight_arena s 1234)
         @ scheme_cases "skip" (fun s -> test_skip_tight_arena s 99) );
       ( "real backend",
-        List.concat_map
-          (fun (tag, mk) ->
-            scheme_cases ("list " ^ tag) (test_list_real mk)
-            @ scheme_cases ("skip " ^ tag) (test_skip_real mk))
-          real_variants );
+        scheme_cases "list flat" test_list_real
+        @ scheme_cases "skip flat" test_skip_real );
       ( "exact interleavings",
         [ Alcotest.test_case "OA quantum 0, 7 seeds" `Quick test_oa_quantum0_seeds ]
       );

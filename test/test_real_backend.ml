@@ -1,19 +1,9 @@
-(* Tests for the real (OCaml domains) backend, run against both cell
-   substrates: the flat arena ("real") and boxed atomics ("real-boxed"). *)
+(* Tests for the real (OCaml domains) backend over its flat arena. *)
 
 module Rb = Oa_runtime.Real_backend
 
-type mk = ?max_threads:int -> unit -> (module Oa_runtime.Runtime_intf.S)
-
-let variants : (string * mk) list =
-  [
-    ("flat", fun ?max_threads () -> Rb.make ?max_threads ());
-    ("boxed", fun ?max_threads () -> Rb.make_boxed ?max_threads ());
-  ]
-
-let test_cells (mk : unit -> (module Oa_runtime.Runtime_intf.S)) () =
-  let r = mk () in
-  let module R = (val r) in
+let test_cells () =
+  let module R = (val Rb.make ()) in
   let c = R.cell 5 in
   Alcotest.(check int) "read" 5 (R.read c);
   R.write c 6;
@@ -24,9 +14,8 @@ let test_cells (mk : unit -> (module Oa_runtime.Runtime_intf.S)) () =
   Alcotest.(check int) "after faa" 10 (R.read c);
   Alcotest.(check int) "read_own" 10 (R.read_own c)
 
-let test_rcells (mk : unit -> (module Oa_runtime.Runtime_intf.S)) () =
-  let r = mk () in
-  let module R = (val r) in
+let test_rcells () =
+  let module R = (val Rb.make ()) in
   let v1 = ref 1 and v2 = ref 2 in
   let rc = R.rcell v1 in
   Alcotest.(check bool) "physical eq read" true (R.rread rc == v1);
@@ -35,9 +24,8 @@ let test_rcells (mk : unit -> (module Oa_runtime.Runtime_intf.S)) () =
   R.rwrite rc v1;
   Alcotest.(check bool) "rwrite" true (R.rread rc == v1)
 
-let test_par_run_tids (mk : unit -> (module Oa_runtime.Runtime_intf.S)) () =
-  let r = mk () in
-  let module R = (val r) in
+let test_par_run_tids () =
+  let module R = (val Rb.make ()) in
   let seen = Array.make 4 (-1) in
   R.par_run ~n:4 (fun tid -> seen.(tid) <- R.tid ());
   Array.iteri
@@ -46,9 +34,8 @@ let test_par_run_tids (mk : unit -> (module Oa_runtime.Runtime_intf.S)) () =
   Alcotest.(check int) "outside run" (-1) (R.tid ());
   Alcotest.(check int) "n_threads recorded" 4 (R.n_threads ())
 
-let test_par_run_concurrent_faa (mk : unit -> (module Oa_runtime.Runtime_intf.S)) () =
-  let r = mk () in
-  let module R = (val r) in
+let test_par_run_concurrent_faa () =
+  let module R = (val Rb.make ()) in
   let c = R.cell 0 in
   R.par_run ~n:4 (fun _ ->
       for _ = 1 to 10_000 do
@@ -56,9 +43,8 @@ let test_par_run_concurrent_faa (mk : unit -> (module Oa_runtime.Runtime_intf.S)
       done);
   Alcotest.(check int) "no lost increments" 40_000 (R.read c)
 
-let test_par_run_concurrent_cas (mk : unit -> (module Oa_runtime.Runtime_intf.S)) () =
-  let r = mk () in
-  let module R = (val r) in
+let test_par_run_concurrent_cas () =
+  let module R = (val Rb.make ()) in
   let c = R.cell 0 in
   R.par_run ~n:4 (fun _ ->
       for _ = 1 to 2_000 do
@@ -75,32 +61,27 @@ let test_par_run_concurrent_cas (mk : unit -> (module Oa_runtime.Runtime_intf.S)
       done);
   Alcotest.(check int) "cas loop correct" 8_000 (R.read c)
 
-let test_elapsed_positive (mk : unit -> (module Oa_runtime.Runtime_intf.S)) () =
-  let r = mk () in
-  let module R = (val r) in
+let test_elapsed_positive () =
+  let module R = (val Rb.make ()) in
   R.par_run ~n:2 (fun _ -> R.stall 1_000_000 (* ~1ms *));
   Alcotest.(check bool) "elapsed measured" true (R.elapsed_seconds () > 0.0)
 
-let test_max_threads_enforced
-    (mk : max_threads:int -> unit -> (module Oa_runtime.Runtime_intf.S)) () =
-  let r = mk ~max_threads:2 () in
-  let module R = (val r) in
+let test_max_threads_enforced () =
+  let module R = (val Rb.make ~max_threads:2 ()) in
   Alcotest.check_raises "too many threads"
     (Invalid_argument "Real_backend.par_run: too many threads") (fun () ->
       R.par_run ~n:3 (fun _ -> ()))
 
-let test_work_and_op_work_are_noops (mk : unit -> (module Oa_runtime.Runtime_intf.S)) () =
-  let r = mk () in
-  let module R = (val r) in
+let test_work_and_op_work_are_noops () =
+  let module R = (val Rb.make ()) in
   R.work 1_000_000;
   R.op_work ();
   R.fence ();
   R.cpu_relax ();
   Alcotest.(check pass) "no effect" () ()
 
-let test_node_cells_shape (mk : unit -> (module Oa_runtime.Runtime_intf.S)) () =
-  let r = mk () in
-  let module R = (val r) in
+let test_node_cells_shape () =
+  let module R = (val Rb.make ()) in
   let cells = R.node_cells ~nodes:3 ~fields:2 in
   Alcotest.(check int) "fields" 2 (Array.length cells);
   Alcotest.(check int) "nodes" 3 (Array.length cells.(0));
@@ -111,42 +92,31 @@ let test_node_cells_shape (mk : unit -> (module Oa_runtime.Runtime_intf.S)) () =
   R.zero_cells (Array.init 2 (fun f -> cells.(f).(2)));
   Alcotest.(check int) "zeroed" 0 (R.read cells.(1).(2))
 
-let test_sequential_par_runs (mk : unit -> (module Oa_runtime.Runtime_intf.S)) () =
-  let r = mk () in
-  let module R = (val r) in
+let test_sequential_par_runs () =
+  let module R = (val Rb.make ()) in
   let c = R.cell 0 in
   R.par_run ~n:2 (fun _ -> ignore (R.faa c 1));
   R.par_run ~n:3 (fun _ -> ignore (R.faa c 1));
   Alcotest.(check int) "both runs executed" 5 (R.read c)
 
 let () =
-  let cases name test =
-    List.map
-      (fun (tag, mk) ->
-        Alcotest.test_case
-          (Printf.sprintf "%s (%s)" name tag)
-          `Quick (test mk))
-      variants
-  in
+  let case name test = Alcotest.test_case (name ^ " (flat)") `Quick test in
   Alcotest.run "real_backend"
     [
       ( "cells",
-        cases "word cells" (fun mk -> test_cells (fun () -> mk ()))
-        @ cases "boxed rcells" (fun mk -> test_rcells (fun () -> mk ()))
-        @ cases "node cells" (fun mk ->
-              test_node_cells_shape (fun () -> mk ())) );
+        [
+          case "word cells" test_cells;
+          case "boxed rcells" test_rcells;
+          case "node cells" test_node_cells_shape;
+        ] );
       ( "domains",
-        cases "tids" (fun mk -> test_par_run_tids (fun () -> mk ()))
-        @ cases "concurrent faa" (fun mk ->
-              test_par_run_concurrent_faa (fun () -> mk ()))
-        @ cases "concurrent cas" (fun mk ->
-              test_par_run_concurrent_cas (fun () -> mk ()))
-        @ cases "elapsed" (fun mk -> test_elapsed_positive (fun () -> mk ()))
-        @ cases "max threads" (fun mk ->
-              test_max_threads_enforced (fun ~max_threads () ->
-                  mk ~max_threads ()))
-        @ cases "work is free" (fun mk ->
-              test_work_and_op_work_are_noops (fun () -> mk ()))
-        @ cases "sequential runs" (fun mk ->
-              test_sequential_par_runs (fun () -> mk ())) );
+        [
+          case "tids" test_par_run_tids;
+          case "concurrent faa" test_par_run_concurrent_faa;
+          case "concurrent cas" test_par_run_concurrent_cas;
+          case "elapsed" test_elapsed_positive;
+          case "max threads" test_max_threads_enforced;
+          case "work is free" test_work_and_op_work_are_noops;
+          case "sequential runs" test_sequential_par_runs;
+        ] );
     ]

@@ -278,6 +278,64 @@ let test_service_restart () =
   let r2 = Sv.drain_report service2 in
   if not r2.Sv.conservation_ok then Alcotest.fail "conservation (second life)"
 
+(* --- replay of a delete-heavy log --- *)
+
+(* A log of effective mutations, written straight through the shard
+   store and recovered by a fresh service at the default delta (8000).
+   Half the records are deletes and nothing but the replay touches the
+   table, so the replay itself must retire what it deletes: left to later
+   traversals, the marked nodes spread over 32k buckets outgrow the
+   arena's slack and recovery dies with Arena_exhausted. *)
+let test_replay_delete_heavy () =
+  with_dir @@ fun dir ->
+  let prefill = 20_000 and range = 40_000 and mutations = 60_000 in
+  let store, _ =
+    Oa_store.Shard_store.open_shard ~data_dir:dir ~index:0
+      ~segment_bytes:(1 lsl 20) ~ckpt_every:0 ~on_snapshot:ignore
+      ~on_record:ignore
+  in
+  let model = Array.make range false in
+  let toggle k =
+    let op = if model.(k) then R.Delete else R.Insert in
+    ignore (Oa_store.Shard_store.append store ~n:1 [| op |] [| k + 1 |]);
+    model.(k) <- not model.(k)
+  in
+  let rng = Oa_util.Splitmix.create 5 in
+  let live = ref 0 in
+  while !live < prefill do
+    let k = Oa_util.Splitmix.below rng range in
+    if not model.(k) then begin
+      toggle k;
+      incr live
+    end
+  done;
+  for _ = 1 to mutations do
+    toggle (Oa_util.Splitmix.below rng range)
+  done;
+  ignore
+    (Oa_store.Shard_store.sync store
+       ~upto:(Oa_store.Shard_store.last_seq store));
+  Oa_store.Shard_store.close store;
+  let service =
+    Sv.create
+      {
+        Sv.default_config with
+        Sv.shards = 1;
+        prefill;
+        key_range = range;
+        data_dir = Some dir;
+        ckpt_every = 0;
+      }
+  in
+  Alcotest.(check int) "every record replayed" (prefill + mutations)
+    (Sv.recovered_records service);
+  Sv.start service;
+  let got = Array.init range (fun k -> call_mut service Sv.Get (k + 1)) in
+  Alcotest.(check (array bool)) "recovered state equals the model" model got;
+  Sv.stop service;
+  let r = Sv.drain_report service in
+  if not r.Sv.conservation_ok then Alcotest.fail "conservation"
+
 (* --- replica convergence over loopback --- *)
 
 let test_replica_convergence () =
@@ -371,6 +429,8 @@ let () =
         [
           Alcotest.test_case "service restart recovers acked state" `Quick
             test_service_restart;
+          Alcotest.test_case "delete-heavy replay fits the default delta"
+            `Quick test_replay_delete_heavy;
         ] );
       ( "replication",
         [

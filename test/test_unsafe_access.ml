@@ -14,8 +14,8 @@
    last word, cache-line edges, the last node of a fixed arena, and the
    seams between elastic chunks.  Both directions are exercised (write
    unsafe / read checked and vice versa) so neither side can be
-   systematically offset from the other, on the sim, flat-real and
-   boxed-real backends, fixed and elastic arenas. *)
+   systematically offset from the other, on the sim and real backends,
+   fixed and elastic arenas. *)
 
 module Ptr = Oa_mem.Ptr
 module Fm = Oa_runtime.Flat_mem
@@ -26,7 +26,6 @@ let with_sim f =
   f r
 
 let with_real f = f (Oa_runtime.Real_backend.make ())
-let with_boxed f = f (Oa_runtime.Real_backend.make_boxed ())
 
 (* Values whose bit patterns catch sign/width mistakes in the index or
    value paths. *)
@@ -238,5 +237,4 @@ let () =
         ] );
       ("arena_sim", backend_cases "sim" with_sim);
       ("arena_real", backend_cases "real" with_real);
-      ("arena_real_boxed", backend_cases "real-boxed" with_boxed);
     ]
