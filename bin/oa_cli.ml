@@ -809,7 +809,14 @@ let serve_cmd =
         ckpt_every;
       }
     in
-    let service = Sv.create cfg in
+    let service =
+      (* a refused arena reservation is a resource limit: say so on one
+         line rather than crash *)
+      try Sv.create cfg
+      with Failure msg ->
+        Printf.eprintf "oa_cli serve: %s\n" msg;
+        exit 2
+    in
     Sv.start service;
     let repl =
       match follow with

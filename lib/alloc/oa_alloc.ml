@@ -4,7 +4,7 @@
     The fixed arena of the original port pre-allocates every node up
     front and can never return memory to the OS.  [Oa_alloc] replaces
     that storage with an append-only table of power-of-two {e chunks},
-    each one [node_cells] carve of [chunk_nodes] same-class nodes:
+    each one runtime node block of [chunk_nodes] same-class nodes:
 
     - {b grow}: mapping is lazy — the table starts with one chunk and
       {!grow} appends more on demand, so there is no fixed capacity (the
@@ -16,7 +16,7 @@
     - {b shrink}: the release that parks a chunk's last outstanding slot
       takes the whole chunk through [Open -> Decommitting ->
       Decommitted]: the winner zeroes the carve and hands its pages back
-      to the OS via [R.decommit_cells].  The mapping survives, so stale
+      to the OS via [R.decommit_block].  The mapping survives, so stale
       optimistic readers keep reading zeros rather than faulting — the
       paper's Assumption 3.1 is preserved across shrink.
 
@@ -43,10 +43,9 @@ module Make (R : Oa_runtime.Runtime_intf.S) = struct
         (** Pages returned to the OS; all slots implicitly free. *)
 
   type chunk = {
-    cfields : R.cell array array;
-        (* the node_cells carve, indexed [field].(slot) — deliberately the
-           only per-slot handle storage: a node-major transpose would cost
-           another ~5 words of heap per node on every mapped chunk *)
+    cblk : R.block;
+        (* the chunk's nodes, addressed by arithmetic: no per-slot storage
+           on the OCaml heap *)
     cbump : R.cell;  (* next never-granted slot; may overshoot chunk_nodes *)
     cstate : cstate R.rcell;
   }
@@ -77,23 +76,22 @@ module Make (R : Oa_runtime.Runtime_intf.S) = struct
      chunk already in it (stale optimistic reads only yield values that
      were written, i.e. granted indices — the backends' no-torn-read
      contract); [f] is a static field id; [idx land t.mask] is below the
-     power-of-two [spc] that sizes every cfields row. *)
+     power-of-two [spc] that sizes every chunk's block. *)
   let field t idx f =
     let c = Array.unsafe_get (R.rread t.table) (idx lsr t.shift) in
-    Array.unsafe_get (Array.unsafe_get c.cfields f) (idx land t.mask)
+    R.node_cell c.cblk (idx land t.mask) f
 
   (* Bounds-checked reference for the differential test. *)
   let field_checked t idx f =
-    (R.rread t.table).(idx lsr t.shift).cfields.(f).(idx land t.mask)
+    let c = (R.rread t.table).(idx lsr t.shift) in
+    if f < 0 || f >= t.n_fields then invalid_arg "Oa_alloc.field_checked";
+    R.node_cell c.cblk (idx land t.mask) f
 
   (* Zero all fields of one node (the paper's [memset(obj, 0)] of
-     Algorithm 5), field-major to match the carve layout. *)
+     Algorithm 5). *)
   let zero_node t idx =
     let c = (R.rread t.table).(idx lsr t.shift) in
-    let slot = idx land t.mask in
-    for f = 0 to t.n_fields - 1 do
-      R.write c.cfields.(f).(slot) 0
-    done
+    R.zero_node c.cblk (idx land t.mask)
 
   (* -- hint stack ------------------------------------------------------ *)
 
@@ -118,9 +116,11 @@ module Make (R : Oa_runtime.Runtime_intf.S) = struct
   (* -- chunk construction / growth ------------------------------------- *)
 
   let alloc_chunk t ~prebump =
-    let m = R.node_cells ~nodes:t.spc ~fields:t.n_fields in
+    (* let-bound so the block is carved before the record's cells: on the
+       sim backend the carve order fixes every modelled line id *)
+    let blk = R.node_block ~nodes:t.spc ~fields:t.n_fields in
     {
-      cfields = m;
+      cblk = blk;
       cbump = R.cell prebump;
       cstate = R.rcell (Open { cfree = []; n_free = 0 });
     }
@@ -206,7 +206,7 @@ module Make (R : Oa_runtime.Runtime_intf.S) = struct
       | Open { n_free; _ } as st when n_free = t.spc ->
           if R.rcas c.cstate st Decommitting then begin
             ignore (R.faa t.n_decommitted 1);
-            R.decommit_cells c.cfields;
+            R.decommit_block c.cblk;
             R.rwrite c.cstate Decommitted;
             push_hint t cid;
             true

@@ -3,7 +3,7 @@
     Every arena holds nodes of one fixed field count, so its size class is
     fully determined by [fields]: the {e stride} is the field count padded
     to a whole number of cache lines (the {!Oa_runtime.Runtime_intf.S}
-    [node_cells] layout), and a {e chunk} is a power-of-two run of
+    node-block layout), and a {e chunk} is a power-of-two run of
     same-class nodes sized to land near a target of 2 MiB — big enough
     that chunk-table operations are rare, small enough that a fully-free
     chunk is worth returning to the OS. *)

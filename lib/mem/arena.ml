@@ -10,7 +10,9 @@
     Two storage representations share the interface:
 
     - [`Fixed] (the default): the original pre-allocated arena — one
-      [node_cells] carve of [capacity] nodes plus a bump cell.  Recycled
+      runtime node block of [capacity] nodes plus a bump cell.  A field
+      is addressed by arithmetic on the block ({!R.node_cell}), so the
+      arena holds no per-node storage on the OCaml heap.  Recycled
       slots live only in the schemes' pools; the arena itself never takes
       memory back, and allocation past [capacity] fails.
     - [`Elastic]: storage is an {!Oa_alloc} chunk table.  {!take} prefers
@@ -29,44 +31,18 @@ module Make (R : Oa_runtime.Runtime_intf.S) = struct
   module Al = Oa_alloc.Make (R)
 
   type repr =
-    | Fixed of {
-        capacity : int;
-        cells : R.cell array;
-            (* flattened node-major handles: field [f] of node [j] is
-               [cells.(j * n_fields + f)].  The hot [field] lookup is one
-               load at a computed index — no per-node array hop, and (the
-               index being in range by construction) no bounds check. *)
-        nodes : R.cell array array;
-            (* node-major transpose kept for [zero_node], which hands a
-               whole node's cells to [R.zero_cells] at once *)
-        bump : R.cell;
-      }
+    | Fixed of { capacity : int; blk : R.block; bump : R.cell }
     | Elastic of Al.t
 
   type t = { n_fields : int; repr : repr }
 
   let create ~capacity ~n_fields =
     if capacity <= 0 || n_fields <= 0 then invalid_arg "Arena.create";
-    (* [node_cells] returns the backend's node-major storage indexed
-       [field].(node); transpose the handle matrix to node-major indexing
-       so the per-node field array exists once, ready for [field] lookups
-       and for handing a whole node to [R.zero_cells]. *)
-    let m = R.node_cells ~nodes:capacity ~fields:n_fields in
-    {
-      n_fields;
-      repr =
-        Fixed
-          {
-            capacity;
-            cells =
-              Array.init (capacity * n_fields) (fun i ->
-                  m.(i mod n_fields).(i / n_fields));
-            nodes =
-              Array.init capacity (fun j ->
-                  Array.init n_fields (fun f -> m.(f).(j)));
-            bump = R.cell 0;
-          };
-    }
+    (* The block is carved before the bump cell: on the sim backend the
+       carve order fixes every modelled line id. *)
+    let blk = R.node_block ~nodes:capacity ~fields:n_fields in
+    let bump = R.cell 0 in
+    { n_fields; repr = Fixed { capacity; blk; bump } }
 
   let create_elastic ?chunk_nodes ~n_fields () =
     if n_fields <= 0 then invalid_arg "Arena.create";
@@ -97,7 +73,7 @@ module Make (R : Oa_runtime.Runtime_intf.S) = struct
       [test_unsafe_access]). *)
   let field t p f =
     match t.repr with
-    | Fixed fx -> Array.unsafe_get fx.cells ((Ptr.index p * t.n_fields) + f)
+    | Fixed fx -> R.node_cell fx.blk (Ptr.index p) f
     | Elastic a -> Al.field a (Ptr.index p) f
 
   (** Bounds-checked [field]: the reference the differential test holds
@@ -105,7 +81,10 @@ module Make (R : Oa_runtime.Runtime_intf.S) = struct
   let field_checked t p f =
     if f < 0 || f >= t.n_fields then invalid_arg "Arena.field_checked";
     match t.repr with
-    | Fixed fx -> fx.nodes.(Ptr.index p).(f)
+    | Fixed fx ->
+        let j = Ptr.index p in
+        if j < 0 || j >= fx.capacity then invalid_arg "Arena.field_checked";
+        R.node_cell fx.blk j f
     | Elastic a -> Al.field_checked a (Ptr.index p) f
 
   let read t p f = R.read (field t p f)
@@ -181,11 +160,10 @@ module Make (R : Oa_runtime.Runtime_intf.S) = struct
     | Elastic a -> Al.gauges a
 
   (** Zero all fields of a node, as the paper's allocator does
-      ([memset(obj, 0)] in Algorithm 5): one bulk fill on backends whose
-      node fields are contiguous words (the flat real backend), per-cell
-      writes elsewhere. *)
+      ([memset(obj, 0)] in Algorithm 5): [n_fields] plain word stores on
+      the flat real backend, per-cell writes on the sim backend. *)
   let zero_node t p =
     match t.repr with
-    | Fixed f -> R.zero_cells f.nodes.(Ptr.index p)
+    | Fixed f -> R.zero_node f.blk (Ptr.index p)
     | Elastic a -> Al.zero_node a (Ptr.index p)
 end

@@ -18,7 +18,9 @@ module Make (R : Oa_runtime.Runtime_intf.S) : sig
 
   val create : capacity:int -> n_fields:int -> t
   (** [create ~capacity ~n_fields] allocates fixed storage for exactly
-      [capacity] nodes of [n_fields] words, carved up front; all fields
+      [capacity] nodes of [n_fields] words, carved up front as one
+      runtime node block — addressed by arithmetic, so it costs a
+      constant amount of OCaml heap whatever [capacity] is; all fields
       of a node share a cache line and allocation past [capacity] fails —
       the historical behaviour.
       @raise Invalid_argument when either argument is non-positive. *)

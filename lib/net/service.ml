@@ -136,17 +136,41 @@ let shard_index ~shards key = ((key * 0x2545F4914F6CDD1D) lsr 33) mod shards
 
 let shard_of t key = t.shards.(shard_index ~shards:t.cfg.shards key)
 
+(* Flat-arena headroom beyond a fixed shard's nodes: 2^20 words (8 MiB of
+   address space) holds over 16 000 registrations' rows — each a hazard
+   row and a warning cell of two lines apiece, plus pool cells — far more
+   than the worker, prefill and recovery registrations a shard makes. *)
+let row_words = 1 lsl 20
+
 (* Returns the shard plus (records replayed, checkpoint keys loaded) —
    both 0 for a volatile or fresh-directory shard; [create] uses the
    totals to decide whether the directory already holds state (in which
    case prefill is skipped: recovery owns the contents). *)
 let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
-  let module R = (val Oa_runtime.Real_backend.make ()) in
+  let expected = max 16 (cfg.prefill / cfg.shards) in
+  let capacity = expected + max cfg.delta (4 * cfg.chunk_size * (cfg.workers_per_shard + 1)) in
+  (* A fixed shard reserves exactly its budget: the table's nodes —
+     capacity plus one sentinel per bucket, at the line-padded stride —
+     plus [row_words] for the scheme's per-thread rows and standalone
+     cells.  Pages are committed only when touched, so a large budget
+     costs address space, not memory.  Elastic shards map chunks on
+     demand and keep the backend's default reservation. *)
+  let arena_words =
+    if cfg.elastic then None
+    else
+      let nodes =
+        capacity + Oa_structures.Hash_table.bucket_count ~expected_size:expected
+      in
+      let stride =
+        Oa_alloc.Size_class.stride_words
+          ~fields:Oa_structures.Linked_list.n_fields
+      in
+      Some ((nodes * stride) + row_words)
+  in
+  let module R = (val Oa_runtime.Real_backend.make ?arena_words ()) in
   let module Sch = Schemes.Make (R) in
   let module S = (val Sch.pack cfg.scheme) in
   let module H = Oa_structures.Hash_table.Make (S) in
-  let expected = max 16 (cfg.prefill / cfg.shards) in
-  let capacity = expected + max cfg.delta (4 * cfg.chunk_size * (cfg.workers_per_shard + 1)) in
   let smr_cfg =
     {
       I.default_config with
@@ -252,6 +276,10 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
     },
     recovered )
 
+(* The OCaml major heap in bytes: the part of RSS that is neither the
+   flat arena nor code. *)
+let heap_bytes () = (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8)
+
 let create ?(obs = Oa_obs.Sink.create ()) (cfg : config) : t =
   if cfg.shards <= 0 then invalid_arg "Service.create: shards must be positive";
   if cfg.workers_per_shard <= 0 then
@@ -265,10 +293,13 @@ let create ?(obs = Oa_obs.Sink.create ()) (cfg : config) : t =
     Array.fold_left (fun acc (_, (_, k)) -> acc + k) 0 pairs
   in
   (* One process-wide source next to the per-shard arena gauges: resident
-     set as the OS sees it, so exported snapshots relate the allocator's
-     committed bytes to actual memory. *)
+     set as the OS sees it and the OCaml major heap, so exported snapshots
+     relate the allocator's committed bytes to actual memory. *)
   Oa_obs.Sink.attach_gauges obs (fun () ->
-      [ ("mem_rss_bytes", Oa_runtime.Sysinfo.rss_bytes ()) ]);
+      [
+        ("mem_rss_bytes", Oa_runtime.Sysinfo.rss_bytes ());
+        ("mem_heap_bytes", heap_bytes ());
+      ]);
   (* Prefill from the main domain: one registration per shard, random keys
      from the range until [prefill] distinct keys are in — but only on a
      fresh start.  A directory that held any state (checkpoint keys or
@@ -658,6 +689,7 @@ type report = {
   smr : I.stats;  (** aggregate scheme statistics *)
   chunks_live : int;  (** arena chunks holding live slots, all shards *)
   committed_bytes : int;  (** arena bytes committed, all shards *)
+  heap_bytes : int;  (** OCaml major heap *)
   rss_bytes : int;  (** process resident set; 0 if unreadable *)
   wal_records : int;  (** mutation records appended to the WALs *)
   wal_fsyncs : int;  (** group-commit fsyncs actually issued *)
@@ -699,6 +731,7 @@ let drain_report t : report =
     smr;
     chunks_live = chunks_live t;
     committed_bytes = mem_gauge t "mem_committed_bytes";
+    heap_bytes = heap_bytes ();
     rss_bytes = Oa_runtime.Sysinfo.rss_bytes ();
     wal_records = Atomic.get t.wal_records;
     wal_fsyncs = Atomic.get t.wal_fsyncs;
@@ -713,12 +746,13 @@ let drain_report t : report =
 let pp_report ppf (r : report) =
   Format.fprintf ppf
     "processed=%d busy=%d errors=%d size=%d retired=%d reclaimed=%d \
-     in-flight=%d chunks-live=%d committed=%.1fMiB rss=%.1fMiB \
-     conservation=%s"
+     in-flight=%d chunks-live=%d committed=%.1fMiB heap=%.1fMiB \
+     rss=%.1fMiB conservation=%s"
     r.processed r.busy r.exec_errors
     (Array.fold_left ( + ) 0 r.sizes)
     r.retired r.reclaimed (r.retired - r.reclaimed) r.chunks_live
     (float_of_int r.committed_bytes /. 1048576.)
+    (float_of_int r.heap_bytes /. 1048576.)
     (float_of_int r.rss_bytes /. 1048576.)
     (if r.conservation_ok then "ok" else "VIOLATED");
   if r.wal_records > 0 || r.checkpoints > 0 || r.recovered <> (0, 0) then

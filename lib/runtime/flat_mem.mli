@@ -25,7 +25,9 @@ val alloc : words:int -> buffer
     resident memory only once touched, so reserving a generous arena up
     front is near-free.  It is unmapped when the buffer is collected; do
     not retain offsets into a buffer beyond the buffer itself.
-    @raise Invalid_argument when [words <= 0]. *)
+    @raise Invalid_argument when [words <= 0].
+    @raise Failure with a one-line reason when the OS refuses the
+    reservation. *)
 
 val length : buffer -> int
 (** Capacity in words (after rounding). *)

@@ -15,8 +15,10 @@
    reads carry no barrier and may observe stale values).  None of the stubs
    allocates or raises, so they are declared [@@noalloc]. */
 
+#include <errno.h>
 #include <stdatomic.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 #include <sys/mman.h>
@@ -41,15 +43,31 @@ static intnat *oa_flat_base(value vba) {
    touched, so a backend can reserve a generous arena up front — the paper's
    pre-allocated heap — at near-zero resident cost.  The mapping is handed
    to the bigarray layer as CAML_BA_EXTERNAL; Flat_mem pairs it with a
-   GC finalizer calling oa_flat_release below. */
+   GC finalizer calling oa_flat_release below.  A refused reservation
+   raises Failure with a one-line reason, so a front end can report it
+   as a resource limit rather than crash. */
 CAMLprim value oa_flat_reserve(value vwords) {
   intnat words = Long_val(vwords);
   if (words <= 0) caml_invalid_argument("Flat_mem.alloc");
+  char msg[160];
+  if (words > (intnat)(SIZE_MAX / sizeof(intnat)) - (intnat)OA_LINE_WORDS) {
+    snprintf(msg, sizeof msg,
+             "cannot reserve %ld words for the node arena: too large",
+             (long)words);
+    caml_failwith(msg);
+  }
   words = (words + OA_LINE_WORDS - 1) & ~((intnat)OA_LINE_WORDS - 1);
   void *data =
       mmap(NULL, (size_t)words * sizeof(intnat), PROT_READ | PROT_WRITE,
            MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  if (data == MAP_FAILED) caml_raise_out_of_memory();
+  if (data == MAP_FAILED) {
+    snprintf(msg, sizeof msg,
+             "cannot reserve %.1f GiB of address space for the node arena "
+             "(mmap: %s)",
+             (double)words * sizeof(intnat) / (1024.0 * 1024.0 * 1024.0),
+             strerror(errno));
+    caml_failwith(msg);
+  }
   return caml_ba_alloc_dims(
       CAML_BA_CAML_INT | CAML_BA_C_LAYOUT | CAML_BA_EXTERNAL, 1, data, words);
 }

@@ -3,12 +3,14 @@
     Gives the library a genuinely concurrent implementation: logical
     threads are domains, and cells are words of a flat, contiguous,
     64-byte-aligned {!Flat_mem} arena — the paper's pre-allocated heap
-    (Assumption 3.1).  [node_cells] is node-major with the stride padded
-    to a cache-line multiple, so all fields of a node share a line and
-    neighbouring nodes (and each thread's hazard/warning block) never
-    false-share; standalone cells get two full lines each.  Reads are
-    plain inlined loads — the paper's barrier-free optimistic read — and
-    all mutating operations are seq_cst C atomics.  [fence] is a genuine
+    (Assumption 3.1).  A node block is four integers — node [j]'s field
+    [f] is word [base + j*stride + f], the stride padded to a cache-line
+    multiple — so all fields of a node share a line, neighbouring nodes
+    (and each thread's hazard/warning row) never false-share, and no
+    per-node handle exists on the OCaml heap; standalone cells get two
+    full lines each.  Reads are plain inlined loads — the paper's
+    barrier-free optimistic read — and all mutating operations are
+    seq_cst C atomics.  [fence] is a genuine
     [atomic_thread_fence(seq_cst)] (no shared fence cell, so concurrent
     fences do not contend) and [cpu_relax] the hardware spin-wait hint.
 
@@ -17,8 +19,12 @@
 
 let tid_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 
-let make ?(max_threads = 128) ?(arena_words = 1 lsl 27) () :
-    (module Runtime_intf.S) =
+type block = { base : int; stride : int; fields : int; nodes : int }
+
+module type FLAT = Runtime_intf.S with type cell = int and type block = block
+
+let make_flat ?(max_threads = 128) ?(arena_words = 1 lsl 27) () :
+    (module FLAT) =
   (module struct
     let name = "real"
     let max_threads = max_threads
@@ -80,14 +86,20 @@ let make ?(max_threads = 128) ?(arena_words = 1 lsl 27) () :
     let bump = Atomic.make 0
 
     (* All carves are whole cache lines, so every carve is line-aligned
-       within the 64-byte-aligned arena. *)
-    let carve words =
-      let off = Atomic.fetch_and_add bump words in
-      if off + words > Flat_mem.length arena then
+       within the page-aligned arena; [align] (a line multiple) rounds
+       the start up further, reserving the worst-case slack in the same
+       fetch-and-add. *)
+    let carve ?(align = Flat_mem.line_words) words =
+      let off =
+        Atomic.fetch_and_add bump (words + align - Flat_mem.line_words)
+      in
+      let base = (off + align - 1) / align * align in
+      if words < 0 || base > Flat_mem.length arena - words then
         failwith
-          "Real_backend: flat arena reservation exhausted (raise \
-           ?arena_words)";
-      off
+          (Printf.sprintf
+             "Real_backend: flat arena reservation of %d words exhausted"
+             (Flat_mem.length arena));
+      base
 
     (* Standalone cells are contended singletons (warning words, epoch
        words, pool heads): give each two full lines, not one.  The
@@ -106,24 +118,27 @@ let make ?(max_threads = 128) ?(arena_words = 1 lsl 27) () :
        node share a line, neighbouring nodes never do.  The mapping hands
        out zero pages, satisfying the all-cells-start-at-0 contract.
 
-       Single-node carves are per-thread blocks (hazard-slot rows,
-       one-off headers) written on every barrier by their owner; round
-       them up to an even number of lines so two threads' blocks never
-       land in one 128-byte prefetch pair.  Data-node carves keep the
-       dense 1-line stride — their sharing is data-dependent, and density
-       wins there (same trade the paper's pre-allocated heap makes). *)
-    let node_cells ~nodes ~fields =
+       Single-node blocks are per-thread rows (hazard slots, one-off
+       headers) written on every barrier by their owner; pad them to two
+       lines and start them on a 128-byte boundary, so two threads' rows
+       never land in one adjacent-line prefetch pair.  Data-node blocks
+       keep the dense 1-line stride — their sharing is data-dependent,
+       and density wins there (same trade the paper's pre-allocated heap
+       makes). *)
+    type nonrec block = block
+
+    let node_block ~nodes ~fields =
       if nodes <= 0 || fields <= 0 then
-        invalid_arg "Real_backend.node_cells";
+        invalid_arg "Real_backend.node_block";
       let lw = Flat_mem.line_words in
       let stride = (fields + lw - 1) / lw * lw in
-      let stride =
-        if nodes = 1 then (stride + (2 * lw) - 1) / (2 * lw) * (2 * lw)
-        else stride
-      in
-      let base = carve (nodes * stride) in
-      Array.init fields (fun f ->
-          Array.init nodes (fun j -> base + (j * stride) + f))
+      if nodes = 1 then
+        let pair = 2 * lw in
+        let stride = (stride + pair - 1) / pair * pair in
+        { base = carve ~align:pair stride; stride; fields; nodes }
+      else { base = carve (nodes * stride); stride; fields; nodes }
+
+    let node_cell b j f = b.base + (j * b.stride) + f
 
     (* Reads and writes are plain inlined word accesses — the paper's
        memory model: no per-access barrier, single-copy atomic at the ISA
@@ -140,42 +155,22 @@ let make ?(max_threads = 128) ?(arena_words = 1 lsl 27) () :
     (* Node zeroing sits on the allocation hot path (Algorithm 5's
        [memset(obj, 0)]).  Nodes are 2-5 words: a handful of inlined
        stores beats the [fill] C call, and plain word stores give the
-       same no-torn-read guarantee the stub's volatile stores do.  The
-       C call only pays for itself on long spans (decommit paths). *)
-    let zero_cells (a : cell array) =
-      let n = Array.length a in
-      if n > 0 then begin
-        let c0 = a.(0) in
-        let contiguous = ref true in
-        for i = 1 to n - 1 do
-          if a.(i) <> c0 + i then contiguous := false
-        done;
-        if not !contiguous then Array.iter (fun c -> write c 0) a
-        else if n <= Flat_mem.line_words then
-          for i = 0 to n - 1 do
-            Flat_mem.set arena (c0 + i) 0
-          done
-        else Flat_mem.fill arena c0 n 0
-      end
+       same no-torn-read guarantee the stub's volatile stores do. *)
+    let zero_node b j =
+      let o = b.base + (j * b.stride) in
+      for i = o to o + b.fields - 1 do
+        Flat_mem.set arena i 0
+      done
 
-    (* Decommit one [node_cells] carve: zero its whole span — padding
-       words between [fields] and the line-rounded stride included — with
-       word-granular stores, then hand the page-aligned interior back to
-       the OS.  Because a carve starts line-aligned and covers
-       [nodes * stride] words, rounding the observed cell span up to a
-       line multiple recovers exactly the carve extent, never a word
-       more. *)
-    let decommit_cells (m : cell array array) =
-      if Array.length m > 0 && Array.length m.(0) > 0 then begin
-        let lo = ref max_int and hi = ref min_int in
-        Array.iter
-          (Array.iter (fun c ->
-               if c < !lo then lo := c;
-               if c > !hi then hi := c))
-          m;
-        let lw = Flat_mem.line_words in
-        let len = (!hi - !lo + 1 + lw - 1) / lw * lw in
-        Flat_mem.fill arena !lo len 0;
-        Flat_mem.decommit arena !lo len
-      end
+    (* Decommit a whole block: zero its span — padding words between
+       [fields] and the line-rounded stride included — with word-granular
+       stores, then hand the page-aligned interior back to the OS. *)
+    let decommit_block b =
+      let len = b.nodes * b.stride in
+      Flat_mem.fill arena b.base len 0;
+      Flat_mem.decommit arena b.base len
   end)
+
+let make ?max_threads ?arena_words () : (module Runtime_intf.S) =
+  let module F = (val make_flat ?max_threads ?arena_words ()) in
+  (module F)

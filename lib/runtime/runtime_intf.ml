@@ -28,16 +28,26 @@ module type S = sig
       backend (so the adjacent-line prefetcher cannot couple two hot
       cells). *)
 
-  val node_cells : nodes:int -> fields:int -> cell array array
-  (** [node_cells ~nodes ~fields] allocates storage for [nodes] heap nodes
+  type block
+  (** Storage for a run of same-shaped heap nodes, addressed by
+      arithmetic: node [j]'s field [f] is {!node_cell}[ b j f].  No
+      per-node handle exists anywhere, so a block costs O(1) OCaml heap
+      whatever its node count. *)
+
+  val node_block : nodes:int -> fields:int -> block
+  (** [node_block ~nodes ~fields] allocates storage for [nodes] heap nodes
       of [fields] words each, laid out {e node-major}: all fields of one
-      node share a cache line, and distinct nodes never share one.  Indexed
-      [field].(node).  The sim backend models this by putting each node's
-      fields on one costed line; the real backend delivers it physically
-      ([base = node * stride], stride padded to a cache-line multiple, from
-      one contiguous buffer — so a per-thread hazard/warning block
-      allocated as [node_cells ~nodes:1] occupies its own padded
-      region). *)
+      node share a cache line, and distinct nodes never share one.  The
+      sim backend models this by putting each node's fields on one costed
+      line; the real backend delivers it physically — one contiguous span
+      with the stride padded to a cache-line multiple, so a per-thread
+      hazard/warning row allocated as [node_block ~nodes:1] occupies its
+      own padded region.  Every cell starts at 0. *)
+
+  val node_cell : block -> int -> int -> cell
+  (** [node_cell b j f] is field [f] of node [j] (real backend:
+      [base + j*stride + f]).  Unchecked: [0 <= j < nodes] and
+      [0 <= f < fields] are the caller's obligation. *)
 
   val read : cell -> int
 
@@ -67,24 +77,22 @@ module type S = sig
       concurrent fences do not contend; the sim backend charges
       {!Oa_simrt.Cost_model.t.fence} and yields. *)
 
-  val zero_cells : cell array -> unit
-  (** Zero every cell of the array.  When the cells are one node's fields
-      (one [node_cells] column), the real backend fills their contiguous
-      words — the [memset(obj, 0)] of the paper's Algorithm 5 — with
-      word-granular stores so racing optimistic readers never observe a
-      torn word; the sim backend writes each cell. *)
+  val zero_node : block -> int -> unit
+  (** [zero_node b j] zeroes the [fields] words of node [j] — the
+      [memset(obj, 0)] of the paper's Algorithm 5 — with word-granular
+      stores, so racing optimistic readers never observe a torn word.
+      The node's padding and its neighbours are untouched. *)
 
-  val decommit_cells : cell array array -> unit
-  (** [decommit_cells m] takes the node-major matrix of one {!node_cells}
-      carve (indexed [field].(node)) whose nodes are all free, zeroes every
-      word of the carve (padding words included) and — where the substrate
+  val decommit_block : block -> unit
+  (** [decommit_block b] takes a block whose nodes are all free, zeroes
+      every word of it (padding words included) and — where the substrate
       can — returns the underlying physical pages to the OS.  The real
-      backend bulk-fills the span then [madvise(MADV_DONTNEED)]s its
-      page-aligned interior: the mapping stays intact, so a stale
-      optimistic reader racing with the decommit loads an old word or a
-      zero, never faulting (the paper's Assumption 3.1).  The sim backend
-      just zeroes each cell.  Afterwards the cells remain
-      valid and read 0; reusing them needs no recommit step (pages
+      backend fills words [base .. base + nodes*stride - 1] then
+      [madvise(MADV_DONTNEED)]s their page-aligned interior: the mapping
+      stays intact, so a stale optimistic reader racing with the decommit
+      loads an old word or a zero, never faulting (the paper's Assumption
+      3.1).  The sim backend just zeroes each cell.  Afterwards the cells
+      remain valid and read 0; reusing them needs no recommit step (pages
       re-fault zeroed on the next store). *)
 
   val cpu_relax : unit -> unit

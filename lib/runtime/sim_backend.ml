@@ -22,18 +22,30 @@ let of_sched ?(max_threads = 128) ?trace sched0 : (module Runtime_intf.S) =
     type 'a rcell = 'a Smem.rcell
 
     let cell v = Smem.cell mem v
-    let node_cells ~nodes ~fields = Smem.node_cells mem ~nodes ~fields
+
+    (* A block is the cell matrix itself, indexed [field].(node): each
+       node's fields on one modelled line, line ids allocated in node
+       order at carve time. *)
+    type block = cell array array
+
+    let node_block ~nodes ~fields = Smem.node_matrix mem ~nodes ~fields
+    let node_cell (b : block) j f = b.(f).(j)
     let read c = Smem.read mem c
     let read_own c = Smem.read_own mem c
     let write c v = Smem.write mem c v
     let cas c e v = Smem.cas mem c e v
     let faa c d = Smem.faa mem c d
     let fence () = Smem.fence mem
-    let zero_cells cells = Array.iter (fun c -> Smem.write mem c 0) cells
+
+    let zero_node (b : block) j =
+      for f = 0 to Array.length b - 1 do
+        Smem.write mem b.(f).(j) 0
+      done
 
     (* No pages to release in the model; zeroing preserves the contents
        contract (and charges the writes, so elastic shrink has a cost). *)
-    let decommit_cells m = Array.iter zero_cells m
+    let decommit_block (b : block) =
+      Array.iter (Array.iter (fun c -> Smem.write mem c 0)) b
 
     (* Deterministic schedules must not depend on wall-clock backoff. *)
     let cpu_relax () = ()

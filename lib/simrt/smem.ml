@@ -48,7 +48,7 @@ let new_line t =
 
 let cell t v = { v; line = new_line t; own_ver = -1 }
 
-let node_cells t ~nodes ~fields =
+let node_matrix t ~nodes ~fields =
   let matrix = Array.make_matrix fields nodes { v = 0; line = 0; own_ver = -1 } in
   for j = 0 to nodes - 1 do
     let line = new_line t in

@@ -29,8 +29,8 @@ val create : Sched.t -> threads:int -> t
 val cell : t -> int -> cell
 (** [cell t v] allocates a cell initialised to [v] on a fresh line. *)
 
-val node_cells : t -> nodes:int -> fields:int -> cell array array
-(** [node_cells t ~nodes ~fields] allocates a [fields]x[nodes] matrix of
+val node_matrix : t -> nodes:int -> fields:int -> cell array array
+(** [node_matrix t ~nodes ~fields] allocates a [fields]x[nodes] matrix of
     cells where all fields of node [j] share one cache line, as the fields
     of a heap node would.  Result is indexed [field].(node). *)
 

@@ -73,8 +73,8 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
   let name = "RC"
 
   let one_per_node n =
-    let m = R.node_cells ~nodes:n ~fields:1 in
-    m.(0)
+    let b = R.node_block ~nodes:n ~fields:1 in
+    Array.init n (fun j -> R.node_cell b j 0)
 
   let create ?(obs = Oa_obs.Sink.disabled) arena cfg =
     let capacity = A.capacity arena in

@@ -145,8 +145,8 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
     let nslots = cfg.I.hp_slots + (3 * cfg.I.max_cas) in
     (* All hazard slots of one thread share a cache line: the owner
        writes them cheaply, the (infrequent) reclaimer pays the misses. *)
-    let matrix = R.node_cells ~nodes:1 ~fields:nslots in
-    let hps = Array.init nslots (fun f -> matrix.(f).(0)) in
+    let row = R.node_block ~nodes:1 ~fields:nslots in
+    let hps = Array.init nslots (R.node_cell row 0) in
     Array.iter (fun c -> R.write c no_hp) hps;
     let o = Oa_obs.Sink.register mm.obs in
     let ctx =

@@ -219,6 +219,71 @@ let test_concurrent_bump_disjoint () =
   disjoint all;
   Alcotest.(check bool) "most of arena used" true (List.length all >= 140)
 
+(* --- heap footprint ---
+
+   Node storage is a runtime block addressed by arithmetic, so creating or
+   growing an arena allocates a constant amount of OCaml heap whatever its
+   node count: no per-node or per-slot handle tables. *)
+
+let heap_budget = 64. *. 1024.
+
+(* OCaml heap bytes allocated while running [f]: minor words plus words
+   allocated directly in the major heap.  Counted in words and converted,
+   because [Gc.allocated_bytes] on OCaml 5.1 adds its minor part in words. *)
+let allocated f =
+  let m0 = Gc.minor_words () and _, p0, mj0 = Gc.counters () in
+  let r = f () in
+  let m1 = Gc.minor_words () and _, p1, mj1 = Gc.counters () in
+  ignore (Sys.opaque_identity r);
+  let words = m1 -. m0 +. (mj1 -. mj0 -. (p1 -. p0)) in
+  words *. float_of_int (Sys.word_size / 8)
+
+let check_heap what ~budget bytes =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.0f bytes under %.0f" what bytes budget)
+    true (bytes < budget)
+
+let test_heap_fixed () =
+  let module R = (val Oa_runtime.Real_backend.make ()) in
+  let module A = Oa_mem.Arena.Make (R) in
+  let bytes =
+    allocated (fun () -> A.create ~capacity:1_000_000 ~n_fields:2)
+  in
+  check_heap "1M-node fixed arena" ~budget:heap_budget bytes
+
+let test_heap_elastic () =
+  let module R = (val Oa_runtime.Real_backend.make ()) in
+  let module A = Oa_mem.Arena.Make (R) in
+  let a = ref None in
+  let bytes =
+    allocated (fun () ->
+        let e = A.create_elastic ~n_fields:2 () in
+        for _ = 2 to 8 do
+          if not (A.grow e) then Alcotest.fail "grow refused"
+        done;
+        a := Some e)
+  in
+  let e = Option.get !a in
+  Alcotest.(check int) "8 chunks mapped" 8
+    (List.assoc "mem_chunks_mapped" (A.gauges e));
+  check_heap "elastic arena, 8 chunks" ~budget:heap_budget bytes
+
+(* A hash table adds exactly one size-proportional array: its buckets. *)
+let test_heap_hash_table () =
+  let module R = (val Oa_runtime.Real_backend.make ()) in
+  let module S = Oa_core.Oa.Make (R) in
+  let module H = Oa_structures.Hash_table.Make (S) in
+  let expected_size = 100_000 in
+  let n_buckets = Oa_structures.Hash_table.bucket_count ~expected_size in
+  let bytes =
+    allocated (fun () ->
+        H.create ~capacity:1_000_000 ~expected_size
+          Oa_core.Smr_intf.default_config)
+  in
+  check_heap "hash table, 1M-node arena"
+    ~budget:(heap_budget +. float_of_int ((n_buckets + 1) * (Sys.word_size / 8)))
+    bytes
+
 let both name f =
   [
     Alcotest.test_case (name ^ " (sim)") `Quick (fun () -> with_sim (fun r -> f r ()));
@@ -249,6 +314,12 @@ let () =
             both "region spans chunks" test_elastic_region_spans_chunks;
             both "gauges track commit" test_elastic_gauges_track_commit;
           ] );
+      ( "heap footprint",
+        [
+          Alcotest.test_case "fixed arena" `Quick test_heap_fixed;
+          Alcotest.test_case "elastic arena" `Quick test_heap_elastic;
+          Alcotest.test_case "hash table" `Quick test_heap_hash_table;
+        ] );
       ( "concurrent",
         [
           Alcotest.test_case "disjoint bump ranges" `Quick

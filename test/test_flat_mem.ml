@@ -110,28 +110,96 @@ let test_hammer_disjoint_words () =
       (Fm.load b (i * Fm.line_words))
   done
 
-(* The flat backend's node_cells contract: node-major, contiguous fields,
-   cache-line-padded stride, no sharing between standalone cells. *)
+(* The flat backend's block contract: node [j]'s field [f] is word
+   [base + j*stride + f], the stride is a whole number of cache lines, a
+   single-node block starts on a 128-byte boundary (offsets are words
+   from the page-aligned arena start), and standalone cells never share. *)
 let test_backend_layout () =
-  let r = Rb.make () in
-  let module R = (val r) in
-  let m = R.node_cells ~nodes:4 ~fields:3 in
-  (* Runtime_intf shape: m.(field).(node).  Probe independence. *)
-  R.write m.(0).(1) 7;
-  R.write m.(2).(1) 9;
-  Alcotest.(check int) "field 0 node 1" 7 (R.read m.(0).(1));
-  Alcotest.(check int) "field 2 node 1" 9 (R.read m.(2).(1));
-  Alcotest.(check int) "field 1 node 1 still 0" 0 (R.read m.(1).(1));
-  Alcotest.(check int) "node 0 untouched" 0 (R.read m.(0).(0));
-  (* Node-major: zero_cells over one node's fields is a contiguous fill. *)
-  let node1 = Array.init 3 (fun f -> m.(f).(1)) in
-  R.zero_cells node1;
-  Alcotest.(check int) "zeroed f0" 0 (R.read m.(0).(1));
-  Alcotest.(check int) "zeroed f2" 0 (R.read m.(2).(1));
+  let module R = (val Rb.make_flat ()) in
+  let lw = Fm.line_words in
+  let b = R.node_block ~nodes:4 ~fields:3 in
+  Alcotest.(check int) "3 fields pad to one line" lw b.Rb.stride;
+  Alcotest.(check int) "block starts on a line" 0 (b.Rb.base mod lw);
+  for j = 0 to 3 do
+    for f = 0 to 2 do
+      Alcotest.(check int)
+        (Printf.sprintf "node_cell %d %d" j f)
+        (b.Rb.base + (j * b.Rb.stride) + f)
+        (R.node_cell b j f)
+    done
+  done;
+  (* probe independence *)
+  R.write (R.node_cell b 1 0) 7;
+  R.write (R.node_cell b 1 2) 9;
+  Alcotest.(check int) "field 0 node 1" 7 (R.read (R.node_cell b 1 0));
+  Alcotest.(check int) "field 2 node 1" 9 (R.read (R.node_cell b 1 2));
+  Alcotest.(check int) "field 1 node 1 still 0" 0 (R.read (R.node_cell b 1 1));
+  Alcotest.(check int) "node 0 untouched" 0 (R.read (R.node_cell b 0 0));
+  List.iter
+    (fun fields ->
+      let b = R.node_block ~nodes:3 ~fields in
+      Alcotest.(check int)
+        (Printf.sprintf "%d-field stride is a line multiple" fields)
+        0 (b.Rb.stride mod lw);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-field stride is the least one" fields)
+        true
+        (b.Rb.stride >= fields && b.Rb.stride < fields + lw);
+      (* a data block of 3 one-line nodes leaves the next carve on an odd
+         line; the row must still start on a 128-byte boundary *)
+      let row = R.node_block ~nodes:1 ~fields in
+      Alcotest.(check int)
+        (Printf.sprintf "%d-field row 128-byte aligned" fields)
+        0
+        (row.Rb.base mod (2 * lw));
+      Alcotest.(check int)
+        (Printf.sprintf "%d-field row padded to line pairs" fields)
+        0
+        (row.Rb.stride mod (2 * lw)))
+    [ 1; 3; lw; lw + 1; (2 * lw) + 1 ];
   let c1 = R.cell 1 and c2 = R.cell 2 in
   ignore (R.faa c1 10);
   Alcotest.(check int) "standalone cells independent" 2 (R.read c2);
   Alcotest.(check int) "standalone faa" 11 (R.read c1)
+
+(* [zero_node] clears exactly [fields] words of one node: its padding and
+   both neighbours keep their contents. *)
+let test_backend_zero_node () =
+  let module R = (val Rb.make_flat ()) in
+  let b = R.node_block ~nodes:3 ~fields:3 in
+  let span = 3 * b.Rb.stride in
+  for w = 0 to span - 1 do
+    R.write (b.Rb.base + w) (w + 1)
+  done;
+  R.zero_node b 1;
+  for w = 0 to span - 1 do
+    let zeroed = w >= b.Rb.stride && w < b.Rb.stride + 3 in
+    Alcotest.(check int)
+      (Printf.sprintf "word %d of the span" w)
+      (if zeroed then 0 else w + 1)
+      (R.read (b.Rb.base + w))
+  done
+
+(* [decommit_block] zeroes the whole block, padding words included, and
+   nothing beyond it. *)
+let test_backend_decommit_block () =
+  let module R = (val Rb.make_flat ()) in
+  (* big enough to span whole pages, so the madvise path runs *)
+  let b = R.node_block ~nodes:1500 ~fields:3 in
+  let after = R.cell 42 in
+  let span = b.Rb.nodes * b.Rb.stride in
+  for w = 0 to span - 1 do
+    R.write (b.Rb.base + w) (w + 1)
+  done;
+  R.decommit_block b;
+  for w = 0 to span - 1 do
+    if R.read (b.Rb.base + w) <> 0 then
+      Alcotest.failf "word %d nonzero after decommit_block" w
+  done;
+  Alcotest.(check int) "next carve untouched" 42 (R.read after);
+  R.write (R.node_cell b 7 2) 5;
+  Alcotest.(check int) "decommitted block writable" 5
+    (R.read (R.node_cell b 7 2))
 
 let test_backend_arena_exhaustion () =
   (* A deliberately tiny reservation must fail loudly, not corrupt.
@@ -323,6 +391,9 @@ let () =
       ( "backend",
         [
           Alcotest.test_case "layout" `Quick test_backend_layout;
+          Alcotest.test_case "zero node" `Quick test_backend_zero_node;
+          Alcotest.test_case "decommit block" `Quick
+            test_backend_decommit_block;
           Alcotest.test_case "exhaustion" `Quick test_backend_arena_exhaustion;
           Alcotest.test_case "arena recycling" `Quick
             test_arena_recycling_roundtrip;

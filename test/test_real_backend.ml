@@ -80,17 +80,24 @@ let test_work_and_op_work_are_noops () =
   R.cpu_relax ();
   Alcotest.(check pass) "no effect" () ()
 
-let test_node_cells_shape () =
-  let module R = (val Rb.make ()) in
-  let cells = R.node_cells ~nodes:3 ~fields:2 in
-  Alcotest.(check int) "fields" 2 (Array.length cells);
-  Alcotest.(check int) "nodes" 3 (Array.length cells.(0));
-  R.write cells.(1).(2) 9;
-  Alcotest.(check int) "independent slots" 0 (R.read cells.(0).(2));
-  Alcotest.(check int) "written slot" 9 (R.read cells.(1).(2));
-  (* zero_cells over one node's fields restores the initial state *)
-  R.zero_cells (Array.init 2 (fun f -> cells.(f).(2)));
-  Alcotest.(check int) "zeroed" 0 (R.read cells.(1).(2))
+let test_node_block_shape () =
+  let module R = (val Rb.make_flat ()) in
+  let b = R.node_block ~nodes:3 ~fields:2 in
+  Alcotest.(check int) "fields" 2 b.Rb.fields;
+  Alcotest.(check int) "nodes" 3 b.Rb.nodes;
+  Alcotest.(check int) "stride is a line multiple" 0
+    (b.Rb.stride mod Oa_runtime.Flat_mem.line_words);
+  Alcotest.(check int) "node_cell is base + j*stride + f"
+    (b.Rb.base + (2 * b.Rb.stride) + 1)
+    (R.node_cell b 2 1);
+  R.write (R.node_cell b 2 1) 9;
+  R.write (R.node_cell b 1 1) 4;
+  Alcotest.(check int) "independent slots" 0 (R.read (R.node_cell b 2 0));
+  Alcotest.(check int) "written slot" 9 (R.read (R.node_cell b 2 1));
+  (* zero_node restores one node's initial state, leaving its neighbour *)
+  R.zero_node b 2;
+  Alcotest.(check int) "zeroed" 0 (R.read (R.node_cell b 2 1));
+  Alcotest.(check int) "neighbour kept" 4 (R.read (R.node_cell b 1 1))
 
 let test_sequential_par_runs () =
   let module R = (val Rb.make ()) in
@@ -107,7 +114,7 @@ let () =
         [
           case "word cells" test_cells;
           case "boxed rcells" test_rcells;
-          case "node cells" test_node_cells_shape;
+          case "node cells" test_node_block_shape;
         ] );
       ( "domains",
         [

@@ -278,6 +278,44 @@ let run_drain_under_load scheme =
     (Oa_obs.Sink.total sink Oa_obs.Event.Req_done);
   Alcotest.(check bool) "no exec errors" true (r.Sv.exec_errors = 0)
 
+(* A fixed shard whose node budget is far past the backend's default flat
+   reservation (2^27 words) still starts and serves: make_shard reserves
+   its own budget.  With [prefill = 0] no node page is touched — the
+   reservation is NORESERVE and committed lazily — so the 200M-node
+   budget costs address space, not memory. *)
+let run_oversized_budget () =
+  let cfg =
+    { Sv.default_config with Sv.shards = 1; prefill = 0; delta = 200_000_000 }
+  in
+  let service = Sv.create cfg in
+  Sv.start service;
+  let expect what want got =
+    match got with
+    | Sv.Done b when b = want -> ()
+    | _ -> Alcotest.failf "%s: unexpected reply" what
+  in
+  expect "insert" true (Sv.call service Sv.Insert 7);
+  expect "get" true (Sv.call service Sv.Get 7);
+  expect "delete" true (Sv.call service Sv.Delete 7);
+  Sv.stop service;
+  let r = Sv.drain_report service in
+  Alcotest.(check bool) "conservation" true r.Sv.conservation_ok;
+  Alcotest.(check bool) "heap gauge read" true (r.Sv.heap_bytes > 0);
+  (* the drain report puts the OCaml heap between committed and rss *)
+  let line = Format.asprintf "%a" Sv.pp_report r in
+  let pos sub =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length line then
+        Alcotest.failf "%S missing from %S" sub line
+      else if String.sub line i n = sub then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  Alcotest.(check bool) "committed= heap= rss= in order" true
+    (pos " committed=" < pos " heap=" && pos " heap=" < pos " rss=")
+
 let case ?dequeue_batch name scheme =
   Alcotest.test_case name `Quick (fun () -> run_stack ?dequeue_batch scheme)
 
@@ -303,5 +341,10 @@ let () =
           drain_case Schemes.Optimistic_access;
           drain_case Schemes.Hazard_pointers;
           drain_case Schemes.Epoch_based;
+        ] );
+      ( "resources",
+        [
+          Alcotest.test_case "shard budget past the default reservation"
+            `Quick run_oversized_budget;
         ] );
     ]

@@ -152,11 +152,11 @@ let test_read_own_miss_after_foreign_write () =
       Alcotest.(check int) "subsequent own-read hits" 1 second
   | _ -> Alcotest.fail "expected two costs"
 
-let test_node_cells_share_line () =
+let test_node_fields_share_line () =
   (* fields of a node share a line: reading field 1 after field 0 is a hit
      even on first touch of field 1 *)
   let s, m = mk () in
-  let cells = Smem.node_cells m ~nodes:4 ~fields:3 in
+  let cells = Smem.node_matrix m ~nodes:4 ~fields:3 in
   let second_cost = ref 0 in
   Sched.run s ~n:1 (fun _ ->
       ignore (Smem.read m cells.(0).(2));
@@ -167,9 +167,9 @@ let test_node_cells_share_line () =
     (cm.CM.access_overhead + cm.CM.read_hit)
     !second_cost
 
-let test_node_cells_distinct_nodes_distinct_lines () =
+let test_distinct_nodes_distinct_lines () =
   let s, m = mk () in
-  let cells = Smem.node_cells m ~nodes:2 ~fields:1 in
+  let cells = Smem.node_matrix m ~nodes:2 ~fields:1 in
   let second_cost = ref 0 in
   Sched.run s ~n:1 (fun _ ->
       ignore (Smem.read m cells.(0).(0));
@@ -238,9 +238,9 @@ let () =
           Alcotest.test_case "read_own foreign write" `Quick
             test_read_own_miss_after_foreign_write;
           Alcotest.test_case "node fields share line" `Quick
-            test_node_cells_share_line;
+            test_node_fields_share_line;
           Alcotest.test_case "nodes on distinct lines" `Quick
-            test_node_cells_distinct_nodes_distinct_lines;
+            test_distinct_nodes_distinct_lines;
           Alcotest.test_case "fence cost" `Quick test_fence_cost;
         ] );
     ]

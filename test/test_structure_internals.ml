@@ -18,11 +18,11 @@ module L = Oa_structures.Linked_list.Make (S)
 let test_bucket_count_load_factor () =
   (* smallest power of two with load factor <= 0.75 *)
   Alcotest.(check int) "10000 keys -> 16384 buckets" 16_384
-    (H.bucket_count ~expected_size:10_000);
+    (Oa_structures.Hash_table.bucket_count ~expected_size:10_000);
   Alcotest.(check int) "64 keys -> minimum 128" 128
-    (H.bucket_count ~expected_size:64);
+    (Oa_structures.Hash_table.bucket_count ~expected_size:64);
   Alcotest.(check int) "tiny tables get the floor" 16
-    (H.bucket_count ~expected_size:4)
+    (Oa_structures.Hash_table.bucket_count ~expected_size:4)
 
 let test_bucket_spread () =
   (* sequential keys must spread: no bucket takes more than a small

@@ -1,11 +1,12 @@
 (* Differential test for the unchecked hot-path accessors.
 
-   The flat substrate's optimistic-read contract lets Flat_mem,
-   Arena (fixed repr) and Oa_alloc (elastic repr, reached through
-   Arena.create_elastic) index their storage with unsafe_get/unsafe_set:
-   field ids are static and below n_fields, node indices were granted by
-   the arena, and word-granular stores mean a stale optimistic read still
-   yields a granted index, never a torn one.  That argument lives in
+   The flat substrate's optimistic-read contract lets Flat_mem index its
+   words with unsafe_get/unsafe_set, Arena (fixed repr) address a node by
+   unchecked block arithmetic, and Oa_alloc (elastic repr, reached through
+   Arena.create_elastic) pick the chunk with unsafe_get before the same
+   arithmetic: field ids are static and below n_fields, node indices were
+   granted by the arena, and word-granular stores mean a stale optimistic
+   read still yields a granted index, never a torn one.  That argument lives in
    comments next to each unsafe site; this test is its executable
    counterpart — every unchecked accessor is hammered against its
    bounds-checked twin ([get_checked]/[set_checked], [field_checked])
