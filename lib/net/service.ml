@@ -136,11 +136,19 @@ let shard_index ~shards key = ((key * 0x2545F4914F6CDD1D) lsr 33) mod shards
 
 let shard_of t key = t.shards.(shard_index ~shards:t.cfg.shards key)
 
-(* Flat-arena headroom beyond a fixed shard's nodes: 2^20 words (8 MiB of
-   address space) holds over 16 000 registrations' rows — each a hazard
-   row and a warning cell of two lines apiece, plus pool cells — far more
-   than the worker, prefill and recovery registrations a shard makes. *)
-let row_words = 1 lsl 20
+(* A fixed shard's flat-arena reservation.  Each table node takes one
+   line of the arena (a list node's two fields fit one) plus, at most, two
+   more lines for per-node cells a scheme carves beside the arena (RC's
+   counters and flags, one line each); 2^20 words (8 MiB of address
+   space) more hold over 16 000 registrations' rows — each a hazard row
+   and a warning cell of two lines apiece, plus pool cells — far more
+   than the worker, prefill and recovery registrations a shard makes.
+   The reservation is never smaller than the backend's default, so only a
+   budget past the default grows it.  Pages are committed only when
+   touched, so a large budget costs address space, not memory. *)
+let arena_words ~nodes =
+  max Oa_runtime.Real_backend.default_arena_words
+    ((nodes * 3 * Oa_runtime.Flat_mem.line_words) + (1 lsl 20))
 
 (* Returns the shard plus (records replayed, checkpoint keys loaded) —
    both 0 for a volatile or fresh-directory shard; [create] uses the
@@ -149,23 +157,16 @@ let row_words = 1 lsl 20
 let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
   let expected = max 16 (cfg.prefill / cfg.shards) in
   let capacity = expected + max cfg.delta (4 * cfg.chunk_size * (cfg.workers_per_shard + 1)) in
-  (* A fixed shard reserves exactly its budget: the table's nodes —
-     capacity plus one sentinel per bucket, at the line-padded stride —
-     plus [row_words] for the scheme's per-thread rows and standalone
-     cells.  Pages are committed only when touched, so a large budget
-     costs address space, not memory.  Elastic shards map chunks on
-     demand and keep the backend's default reservation. *)
+  (* Elastic shards map chunks on demand and keep the default
+     reservation. *)
   let arena_words =
     if cfg.elastic then None
     else
-      let nodes =
-        capacity + Oa_structures.Hash_table.bucket_count ~expected_size:expected
-      in
-      let stride =
-        Oa_alloc.Size_class.stride_words
-          ~fields:Oa_structures.Linked_list.n_fields
-      in
-      Some ((nodes * stride) + row_words)
+      Some
+        (arena_words
+           ~nodes:
+             (Oa_structures.Hash_table.arena_nodes ~capacity
+                ~expected_size:expected))
   in
   let module R = (val Oa_runtime.Real_backend.make ?arena_words ()) in
   let module Sch = Schemes.Make (R) in

@@ -19,12 +19,24 @@
 
 let tid_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 
-type block = { base : int; stride : int; fields : int; nodes : int }
+let default_arena_words = 1 lsl 27
 
-module type FLAT = Runtime_intf.S with type cell = int and type block = block
+(* Node-block geometry.  Single-node blocks are per-thread rows (hazard
+   slots, one-off headers) written on every barrier by their owner: they
+   start on a 128-byte boundary and are padded to whole line pairs, so two
+   threads' rows never land in one adjacent-line prefetch pair.  Data-node
+   blocks keep the dense 1-line unit — their sharing is data-dependent,
+   and density wins there (same trade the paper's pre-allocated heap
+   makes). *)
+let node_align ~nodes =
+  if nodes = 1 then 2 * Flat_mem.line_words else Flat_mem.line_words
 
-let make_flat ?(max_threads = 128) ?(arena_words = 1 lsl 27) () :
-    (module FLAT) =
+let node_stride ~nodes ~fields =
+  let unit = node_align ~nodes in
+  (fields + unit - 1) / unit * unit
+
+let make ?(max_threads = 128) ?(arena_words = default_arena_words) () :
+    (module Runtime_intf.S) =
   (module struct
     let name = "real"
     let max_threads = max_threads
@@ -114,29 +126,22 @@ let make_flat ?(max_threads = 128) ?(arena_words = 1 lsl 27) () :
 
     (* Node-major layout (the Runtime_intf contract): node [j]'s fields
        are words [base + j*stride .. base + j*stride + fields - 1], with
-       [stride] padded to a whole number of cache lines — all fields of a
-       node share a line, neighbouring nodes never do.  The mapping hands
-       out zero pages, satisfying the all-cells-start-at-0 contract.
-
-       Single-node blocks are per-thread rows (hazard slots, one-off
-       headers) written on every barrier by their owner; pad them to two
-       lines and start them on a 128-byte boundary, so two threads' rows
-       never land in one adjacent-line prefetch pair.  Data-node blocks
-       keep the dense 1-line stride — their sharing is data-dependent,
-       and density wins there (same trade the paper's pre-allocated heap
-       makes). *)
-    type nonrec block = block
+       [stride] padded to a whole number of cache lines ([node_stride])
+       — all fields of a node share a line, neighbouring nodes never do.
+       The mapping hands out zero pages, satisfying the
+       all-cells-start-at-0 contract. *)
+    type block = { base : int; stride : int; fields : int; nodes : int }
 
     let node_block ~nodes ~fields =
       if nodes <= 0 || fields <= 0 then
         invalid_arg "Real_backend.node_block";
-      let lw = Flat_mem.line_words in
-      let stride = (fields + lw - 1) / lw * lw in
-      if nodes = 1 then
-        let pair = 2 * lw in
-        let stride = (stride + pair - 1) / pair * pair in
-        { base = carve ~align:pair stride; stride; fields; nodes }
-      else { base = carve (nodes * stride); stride; fields; nodes }
+      let stride = node_stride ~nodes ~fields in
+      {
+        base = carve ~align:(node_align ~nodes) (nodes * stride);
+        stride;
+        fields;
+        nodes;
+      }
 
     let node_cell b j f = b.base + (j * b.stride) + f
 
@@ -170,7 +175,3 @@ let make_flat ?(max_threads = 128) ?(arena_words = 1 lsl 27) () :
       Flat_mem.fill arena b.base len 0;
       Flat_mem.decommit arena b.base len
   end)
-
-let make ?max_threads ?arena_words () : (module Runtime_intf.S) =
-  let module F = (val make_flat ?max_threads ?arena_words ()) in
-  (module F)

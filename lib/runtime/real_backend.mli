@@ -7,27 +7,28 @@ val make :
 (** [make ()] builds the default ["real"] runtime: domains over one flat,
     contiguous, 64-byte-aligned {!Flat_mem} word arena.  Cells are plain
     [int] offsets into the arena — no per-cell heap object — and a node
-    block is a {!block}: node fields are node-major with cache-line-padded
-    stride (the {!Runtime_intf.S} layout contract), addressed by
-    arithmetic.  Standalone cells get two full lines each, reads are plain
-    inlined loads, and all mutating operations are seq_cst C atomics.
-    [max_threads] (default [128]) bounds [par_run]'s thread count; note
-    OCaml limits the number of simultaneously live domains.
-    [arena_words] (default [2^27], 1 GiB of address space) sizes the
-    arena reservation; pages are committed lazily, so a reservation costs
-    resident memory only as cells are carved.  Carving past the
-    reservation raises [Failure].
+    block's fields are node-major with cache-line-padded stride (the
+    {!Runtime_intf.S} layout contract), addressed by arithmetic
+    ({!node_stride}).  Standalone cells get two full lines each, reads are
+    plain inlined loads, and all mutating operations are seq_cst C
+    atomics.  [max_threads] (default [128]) bounds [par_run]'s thread
+    count; note OCaml limits the number of simultaneously live domains.
+    [arena_words] (default {!default_arena_words}, 1 GiB of address
+    space) sizes the arena reservation; pages are committed lazily, so a
+    reservation costs resident memory only as cells are carved.  Carving
+    past the reservation raises [Failure].
     @raise Failure when the OS refuses the reservation. *)
 
-type block = { base : int; stride : int; fields : int; nodes : int }
-(** A node block of the flat arena: node [j]'s field [f] is word
-    [base + j*stride + f]; [stride] is a multiple of
-    {!Flat_mem.line_words}, and a single-node block starts on a 128-byte
-    boundary. *)
+val default_arena_words : int
+(** [2^27]: the reservation {!make} takes when [arena_words] is omitted. *)
 
-module type FLAT = Runtime_intf.S with type cell = int and type block = block
+val node_align : nodes:int -> int
+(** Word alignment of the first node of [node_block ~nodes ~fields]: one
+    cache line ({!Flat_mem.line_words}), or a 128-byte line pair for a
+    single-node block (a per-thread row). *)
 
-val make_flat :
-  ?max_threads:int -> ?arena_words:int -> unit -> (module FLAT)
-(** {!make} with the representation exposed: cells are word offsets into
-    the arena and blocks are {!block} records.  For layout tests. *)
+val node_stride : nodes:int -> fields:int -> int
+(** Words from one node to the next in [node_block ~nodes ~fields]:
+    [fields] rounded up to a multiple of [node_align ~nodes].  Node [j]'s
+    field [f] is word [base + j * node_stride ~nodes ~fields + f] of the
+    arena. *)

@@ -13,13 +13,16 @@
 
 module Ptr = Oa_mem.Ptr
 
-(** Power-of-two bucket count >= expected / load_factor.  A fixed
-    arena reserves one sentinel node per bucket on top of its node
-    budget. *)
+(** Power-of-two bucket count >= expected / load_factor. *)
 let bucket_count ~expected_size =
   let target = int_of_float (ceil (float_of_int expected_size /. 0.75)) in
   let rec pow2 n = if n >= target then n else pow2 (2 * n) in
   pow2 16
+
+(** Nodes in the fixed arena of [create ~capacity ~expected_size]: the
+    node budget plus one sentinel per bucket. *)
+let arena_nodes ~capacity ~expected_size =
+  capacity + bucket_count ~expected_size
 
 module Make (S : Oa_core.Smr_intf.S) = struct
   module R = S.R
@@ -34,28 +37,18 @@ module Make (S : Oa_core.Smr_intf.S) = struct
     let arena =
       (* fixed arenas reserve bucket-sentinel headroom on top of the node
          budget; elastic ones size themselves *)
-      let n_fields = Linked_list.n_fields in
-      if elastic then A.create_elastic ?chunk_nodes ~n_fields ()
-      else A.create ~capacity:(capacity + n_buckets) ~n_fields
+      if elastic then A.create_elastic ?chunk_nodes ~n_fields:L.n_fields ()
+      else
+        A.create
+          ~capacity:(arena_nodes ~capacity ~expected_size)
+          ~n_fields:L.n_fields
     in
     let smr = S.create ?obs arena cfg in
     let list = L.on_arena arena smr in
-    (* [on_arena] allocated one sentinel we use as bucket 0.  A fixed
-       arena grants the rest as one bump range — the indices one grab per
-       bucket would get, with no per-bucket allocation; an elastic one
-       grabs per bucket, so a table larger than a chunk still fills the
-       open chunk first. *)
+    (* [on_arena] allocated one sentinel we use as bucket 0. *)
     let buckets =
-      if elastic then
-        Array.init n_buckets (fun i ->
-            if i = 0 then L.head list else L.alloc_sentinel arena)
-      else
-        match A.bump_range arena (n_buckets - 1) with
-        | None -> raise Oa_core.Smr_intf.Arena_exhausted
-        | Some first ->
-            Array.init n_buckets (fun i ->
-                if i = 0 then L.head list
-                else L.init_sentinel arena (first + i - 1))
+      Array.init n_buckets (fun i ->
+          if i = 0 then L.head list else L.alloc_sentinel arena)
     in
     { list; buckets; mask = n_buckets - 1 }
 

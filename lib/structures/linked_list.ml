@@ -15,16 +15,14 @@
 
 module Ptr = Oa_mem.Ptr
 
-(* Node layout, outside the functor so that a caller can size an arena
-   before it picks a runtime. *)
-let f_key = 0
-let f_next = 1
-let n_fields = 2
-
 module Make (S : Oa_core.Smr_intf.S) = struct
   module R = S.R
   module A = Oa_mem.Arena.Make (S.R)
   module N = Oa_core.Normalized.Make (S)
+
+  let f_key = 0
+  let f_next = 1
+  let n_fields = 2
 
   type t = { arena : A.t; smr : S.t; head : Ptr.t }
   type ctx = { t : t; sctx : S.ctx }
@@ -32,20 +30,16 @@ module Make (S : Oa_core.Smr_intf.S) = struct
   let key_cell t p = A.field t.arena p f_key
   let next_cell t p = A.field t.arena p f_next
 
-  (* Make bump-granted node [idx] a sentinel: key [min_int], no
-     successor. *)
-  let init_sentinel arena idx =
-    let p = Ptr.of_index idx in
-    R.write (A.field arena p f_key) min_int;
-    R.write (A.field arena p f_next) Ptr.null;
-    p
-
   (* Allocate a sentinel straight from the bump region; sentinels are never
      retired, so they bypass the SMR allocator. *)
   let alloc_sentinel arena =
     match A.bump_range arena 1 with
     | None -> raise Oa_core.Smr_intf.Arena_exhausted
-    | Some idx -> init_sentinel arena idx
+    | Some idx ->
+        let p = Ptr.of_index idx in
+        R.write (A.field arena p f_key) min_int;
+        R.write (A.field arena p f_next) Ptr.null;
+        p
 
   (** Successor function for the Anchors scheme's protection walk: a raw
       arena read, safe even on recycled nodes. *)

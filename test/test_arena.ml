@@ -268,7 +268,20 @@ let test_heap_elastic () =
     (List.assoc "mem_chunks_mapped" (A.gauges e));
   check_heap "elastic arena, 8 chunks" ~budget:heap_budget bytes
 
-(* A hash table adds exactly one size-proportional array: its buckets. *)
+(* OCaml heap words [f]'s result keeps alive, in bytes: the live heap
+   after a full major collection, before and after.  Transient garbage
+   (option boxes, closures) does not count — only what is retained. *)
+let retained f =
+  Gc.full_major ();
+  let l0 = (Gc.stat ()).Gc.live_words in
+  let r = f () in
+  Gc.full_major ();
+  let l1 = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity r);
+  float_of_int ((l1 - l0) * (Sys.word_size / 8))
+
+(* A hash table retains exactly one size-proportional array: its
+   buckets. *)
 let test_heap_hash_table () =
   let module R = (val Oa_runtime.Real_backend.make ()) in
   let module S = Oa_core.Oa.Make (R) in
@@ -276,7 +289,7 @@ let test_heap_hash_table () =
   let expected_size = 100_000 in
   let n_buckets = Oa_structures.Hash_table.bucket_count ~expected_size in
   let bytes =
-    allocated (fun () ->
+    retained (fun () ->
         H.create ~capacity:1_000_000 ~expected_size
           Oa_core.Smr_intf.default_config)
   in

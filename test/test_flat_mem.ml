@@ -111,52 +111,66 @@ let test_hammer_disjoint_words () =
   done
 
 (* The flat backend's block contract: node [j]'s field [f] is word
-   [base + j*stride + f], the stride is a whole number of cache lines, a
-   single-node block starts on a 128-byte boundary (offsets are words
-   from the page-aligned arena start), and standalone cells never share. *)
+   [base + j*stride + f].  Cells are abstract, so the test pins the
+   arithmetic by aliasing: with [stride = Rb.node_stride], node [j]'s word
+   [f] must be node 0's word [j*stride + f] (padding words included —
+   deliberately past the [f < fields] bound [node_cell] leaves unchecked
+   on this backend), and
+   every (node, field) pair is its own cell.  The geometry itself — a
+   line-multiple stride, single-node rows padded to and aligned on line
+   pairs — is pinned on [node_stride] and [node_align], which
+   [node_block] carves by.  Standalone cells never share. *)
 let test_backend_layout () =
-  let module R = (val Rb.make_flat ()) in
+  let module R = (val Rb.make ()) in
   let lw = Fm.line_words in
-  let b = R.node_block ~nodes:4 ~fields:3 in
-  Alcotest.(check int) "3 fields pad to one line" lw b.Rb.stride;
-  Alcotest.(check int) "block starts on a line" 0 (b.Rb.base mod lw);
-  for j = 0 to 3 do
-    for f = 0 to 2 do
-      Alcotest.(check int)
-        (Printf.sprintf "node_cell %d %d" j f)
-        (b.Rb.base + (j * b.Rb.stride) + f)
-        (R.node_cell b j f)
+  let nodes = 4 and fields = 3 in
+  let b = R.node_block ~nodes ~fields in
+  let stride = Rb.node_stride ~nodes ~fields in
+  Alcotest.(check int) "3 fields pad to one line" lw stride;
+  for j = 0 to nodes - 1 do
+    for f = 0 to stride - 1 do
+      R.write (R.node_cell b j f) ((100 * j) + f + 1)
     done
   done;
-  (* probe independence *)
-  R.write (R.node_cell b 1 0) 7;
-  R.write (R.node_cell b 1 2) 9;
-  Alcotest.(check int) "field 0 node 1" 7 (R.read (R.node_cell b 1 0));
-  Alcotest.(check int) "field 2 node 1" 9 (R.read (R.node_cell b 1 2));
-  Alcotest.(check int) "field 1 node 1 still 0" 0 (R.read (R.node_cell b 1 1));
-  Alcotest.(check int) "node 0 untouched" 0 (R.read (R.node_cell b 0 0));
+  for w = 0 to (nodes * stride) - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "word %d = node %d field %d" w (w / stride)
+         (w mod stride))
+      ((100 * (w / stride)) + (w mod stride) + 1)
+      (R.read (R.node_cell b 0 w))
+  done;
   List.iter
     (fun fields ->
-      let b = R.node_block ~nodes:3 ~fields in
+      let stride = Rb.node_stride ~nodes:3 ~fields in
       Alcotest.(check int)
         (Printf.sprintf "%d-field stride is a line multiple" fields)
-        0 (b.Rb.stride mod lw);
+        0 (stride mod lw);
       Alcotest.(check bool)
         (Printf.sprintf "%d-field stride is the least one" fields)
         true
-        (b.Rb.stride >= fields && b.Rb.stride < fields + lw);
-      (* a data block of 3 one-line nodes leaves the next carve on an odd
-         line; the row must still start on a 128-byte boundary *)
-      let row = R.node_block ~nodes:1 ~fields in
+        (stride >= fields && stride < fields + lw);
+      Alcotest.(check int)
+        (Printf.sprintf "%d-field data block line aligned" fields)
+        lw (Rb.node_align ~nodes:3);
+      let row = Rb.node_stride ~nodes:1 ~fields in
       Alcotest.(check int)
         (Printf.sprintf "%d-field row 128-byte aligned" fields)
-        0
-        (row.Rb.base mod (2 * lw));
-      Alcotest.(check int)
-        (Printf.sprintf "%d-field row padded to line pairs" fields)
-        0
-        (row.Rb.stride mod (2 * lw)))
+        (2 * lw) (Rb.node_align ~nodes:1);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-field row is the least line pair" fields)
+        true
+        (row mod (2 * lw) = 0 && row >= fields && row < fields + (2 * lw)))
     [ 1; 3; lw; lw + 1; (2 * lw) + 1 ];
+  (* a data block of 3 one-line nodes leaves the next carve on an odd
+     line; a row carved after it still gets its full, private span *)
+  ignore (R.node_block ~nodes:3 ~fields:1);
+  let r1 = R.node_block ~nodes:1 ~fields:3 in
+  let r2 = R.node_block ~nodes:1 ~fields:3 in
+  let row = Rb.node_stride ~nodes:1 ~fields:3 in
+  for w = 0 to row - 1 do
+    R.write (R.node_cell r1 0 w) 1
+  done;
+  Alcotest.(check int) "next row untouched" 0 (R.read (R.node_cell r2 0 0));
   let c1 = R.cell 1 and c2 = R.cell 2 in
   ignore (R.faa c1 10);
   Alcotest.(check int) "standalone cells independent" 2 (R.read c2);
@@ -165,35 +179,39 @@ let test_backend_layout () =
 (* [zero_node] clears exactly [fields] words of one node: its padding and
    both neighbours keep their contents. *)
 let test_backend_zero_node () =
-  let module R = (val Rb.make_flat ()) in
+  let module R = (val Rb.make ()) in
   let b = R.node_block ~nodes:3 ~fields:3 in
-  let span = 3 * b.Rb.stride in
+  let stride = Rb.node_stride ~nodes:3 ~fields:3 in
+  let span = 3 * stride in
+  (* every word of the span, padding included, addressed via node 0 *)
   for w = 0 to span - 1 do
-    R.write (b.Rb.base + w) (w + 1)
+    R.write (R.node_cell b 0 w) (w + 1)
   done;
   R.zero_node b 1;
   for w = 0 to span - 1 do
-    let zeroed = w >= b.Rb.stride && w < b.Rb.stride + 3 in
+    let zeroed = w >= stride && w < stride + 3 in
     Alcotest.(check int)
       (Printf.sprintf "word %d of the span" w)
       (if zeroed then 0 else w + 1)
-      (R.read (b.Rb.base + w))
+      (R.read (R.node_cell b 0 w))
   done
 
 (* [decommit_block] zeroes the whole block, padding words included, and
    nothing beyond it. *)
 let test_backend_decommit_block () =
-  let module R = (val Rb.make_flat ()) in
+  let module R = (val Rb.make ()) in
   (* big enough to span whole pages, so the madvise path runs *)
-  let b = R.node_block ~nodes:1500 ~fields:3 in
+  let nodes = 1500 and fields = 3 in
+  let b = R.node_block ~nodes ~fields in
   let after = R.cell 42 in
-  let span = b.Rb.nodes * b.Rb.stride in
+  let span = nodes * Rb.node_stride ~nodes ~fields in
+  (* every word of the span, padding included, addressed via node 0 *)
   for w = 0 to span - 1 do
-    R.write (b.Rb.base + w) (w + 1)
+    R.write (R.node_cell b 0 w) (w + 1)
   done;
   R.decommit_block b;
   for w = 0 to span - 1 do
-    if R.read (b.Rb.base + w) <> 0 then
+    if R.read (R.node_cell b 0 w) <> 0 then
       Alcotest.failf "word %d nonzero after decommit_block" w
   done;
   Alcotest.(check int) "next carve untouched" 42 (R.read after);

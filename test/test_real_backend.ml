@@ -81,17 +81,15 @@ let test_work_and_op_work_are_noops () =
   Alcotest.(check pass) "no effect" () ()
 
 let test_node_block_shape () =
-  let module R = (val Rb.make_flat ()) in
+  let module R = (val Rb.make ()) in
   let b = R.node_block ~nodes:3 ~fields:2 in
-  Alcotest.(check int) "fields" 2 b.Rb.fields;
-  Alcotest.(check int) "nodes" 3 b.Rb.nodes;
+  let stride = Rb.node_stride ~nodes:3 ~fields:2 in
   Alcotest.(check int) "stride is a line multiple" 0
-    (b.Rb.stride mod Oa_runtime.Flat_mem.line_words);
-  Alcotest.(check int) "node_cell is base + j*stride + f"
-    (b.Rb.base + (2 * b.Rb.stride) + 1)
-    (R.node_cell b 2 1);
+    (stride mod Oa_runtime.Flat_mem.line_words);
   R.write (R.node_cell b 2 1) 9;
   R.write (R.node_cell b 1 1) 4;
+  Alcotest.(check int) "node_cell is base + j*stride + f" 9
+    (R.read (R.node_cell b 0 ((2 * stride) + 1)));
   Alcotest.(check int) "independent slots" 0 (R.read (R.node_cell b 2 0));
   Alcotest.(check int) "written slot" 9 (R.read (R.node_cell b 2 1));
   (* zero_node restores one node's initial state, leaving its neighbour *)

@@ -278,28 +278,35 @@ let run_drain_under_load scheme =
     (Oa_obs.Sink.total sink Oa_obs.Event.Req_done);
   Alcotest.(check bool) "no exec errors" true (r.Sv.exec_errors = 0)
 
+(* Start a service, serve one insert/get/delete round on a key outside
+   the prefill range, drain, and check conservation. *)
+let serve_round (cfg : Sv.config) =
+  let service = Sv.create cfg in
+  Sv.start service;
+  let key = cfg.Sv.key_range + 7 in
+  let expect what want got =
+    match got with
+    | Sv.Done b when b = want -> ()
+    | _ -> Alcotest.failf "%s: unexpected reply" what
+  in
+  expect "insert" true (Sv.call service Sv.Insert key);
+  expect "get" true (Sv.call service Sv.Get key);
+  expect "delete" true (Sv.call service Sv.Delete key);
+  Sv.stop service;
+  let r = Sv.drain_report service in
+  Alcotest.(check bool) "conservation" true r.Sv.conservation_ok;
+  r
+
 (* A fixed shard whose node budget is far past the backend's default flat
    reservation (2^27 words) still starts and serves: make_shard reserves
    its own budget.  With [prefill = 0] no node page is touched — the
    reservation is NORESERVE and committed lazily — so the 200M-node
    budget costs address space, not memory. *)
 let run_oversized_budget () =
-  let cfg =
-    { Sv.default_config with Sv.shards = 1; prefill = 0; delta = 200_000_000 }
+  let r =
+    serve_round
+      { Sv.default_config with Sv.shards = 1; prefill = 0; delta = 200_000_000 }
   in
-  let service = Sv.create cfg in
-  Sv.start service;
-  let expect what want got =
-    match got with
-    | Sv.Done b when b = want -> ()
-    | _ -> Alcotest.failf "%s: unexpected reply" what
-  in
-  expect "insert" true (Sv.call service Sv.Insert 7);
-  expect "get" true (Sv.call service Sv.Get 7);
-  expect "delete" true (Sv.call service Sv.Delete 7);
-  Sv.stop service;
-  let r = Sv.drain_report service in
-  Alcotest.(check bool) "conservation" true r.Sv.conservation_ok;
   Alcotest.(check bool) "heap gauge read" true (r.Sv.heap_bytes > 0);
   (* the drain report puts the OCaml heap between committed and rss *)
   let line = Format.asprintf "%a" Sv.pp_report r in
@@ -315,6 +322,21 @@ let run_oversized_budget () =
   in
   Alcotest.(check bool) "committed= heap= rss= in order" true
     (pos " committed=" < pos " heap=" && pos " heap=" < pos " rss=")
+
+(* RC carves two per-node side tables (counters and flags, a line per
+   node each) from the same flat arena as the table's nodes.  A shard of
+   over 65 536 nodes — here 25 000 expected keys, 65 536 bucket sentinels
+   and the delta — needs them to fit too. *)
+let run_rc_side_tables () =
+  ignore
+    (serve_round
+       {
+         Sv.default_config with
+         Sv.scheme = Schemes.Ref_counting;
+         shards = 1;
+         prefill = 25_000;
+         key_range = 50_000;
+       })
 
 let case ?dequeue_batch name scheme =
   Alcotest.test_case name `Quick (fun () -> run_stack ?dequeue_batch scheme)
@@ -346,5 +368,7 @@ let () =
         [
           Alcotest.test_case "shard budget past the default reservation"
             `Quick run_oversized_budget;
+          Alcotest.test_case "RC side tables past 65 536 nodes" `Quick
+            run_rc_side_tables;
         ] );
     ]
