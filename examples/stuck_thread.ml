@@ -48,7 +48,7 @@ let run id =
             (* Enter an operation, then go to sleep in the middle of it for
                half a simulated second — epochs cannot pass this thread. *)
             S.op_begin ctx.L.sctx;
-            (try ignore (S.read_ptr ctx.L.sctx ~hp:0 (L.next_cell t (L.head t)))
+            (try ignore (S.read_ptr ctx.L.sctx ~hp:0 (L.head t))
              with I.Restart -> ());
             R.stall 1_000_000_000;
             S.op_end ctx.L.sctx

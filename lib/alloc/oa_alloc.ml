@@ -305,8 +305,8 @@ module Make (R : Oa_runtime.Runtime_intf.S) = struct
 
   (* -- contiguous regions ---------------------------------------------- *)
 
-  (** [bump_region t n] grants [n] {e consecutive} node indices (sentinel
-      blocks), growing as needed; [None] only when the backend reservation
+  (** [bump_region t n] grants [n] {e consecutive} node indices (a pool
+      refill's run, a structure's sentinel), growing as needed; [None] only when the backend reservation
       is exhausted.  A request larger than a chunk appends a dedicated run
       of consecutive chunk ids whose unused tail is released back as
       ordinary free slots. *)

@@ -182,12 +182,11 @@ let validate_spec sc =
 
 (* Generous arena: the run must complete even if reclamation never frees a
    single node (e.g. a victim thread parked across the whole run under
-   EBR), so budget every insert plus per-thread pool slack and hash-bucket
-   sentinels on top.  Under [Some slack] we budget only the live-set
-   ceiling — the key range, the list sentinel, an in-flight node and local
-   pool chunks per thread — plus the requested slack (hash-bucket
-   sentinels are budgeted separately, on top, by [Hash_table.create]), so
-   sustained churn must reclaim to keep allocating. *)
+   EBR), so budget every insert plus per-thread pool slack on top.  Under
+   [Some slack] we budget only the live-set ceiling — the key range, an
+   in-flight node and one spare, and local pool chunks per thread — plus
+   the requested slack, so sustained churn must reclaim to keep
+   allocating.  List and bucket heads are words outside the arena. *)
 let arena_capacity sc =
   match sc.arena_slack with
   | None ->

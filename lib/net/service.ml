@@ -139,16 +139,17 @@ let shard_of t key = t.shards.(shard_index ~shards:t.cfg.shards key)
 (* A fixed shard's flat-arena reservation.  Each table node takes one
    line of the arena (a list node's two fields fit one) plus, at most, two
    more lines for per-node cells a scheme carves beside the arena (RC's
-   counters and flags, one line each); 2^20 words (8 MiB of address
+   counters and flags, one line each); the table's bucket heads take
+   [head_words] more, one word per bucket; 2^20 words (8 MiB of address
    space) more hold over 16 000 registrations' rows — each a hazard row
    and a warning cell of two lines apiece, plus pool cells — far more
    than the worker, prefill and recovery registrations a shard makes.
    The reservation is never smaller than the backend's default, so only a
    budget past the default grows it.  Pages are committed only when
    touched, so a large budget costs address space, not memory. *)
-let arena_words ~nodes =
+let arena_words ~nodes ~head_words =
   max Oa_runtime.Real_backend.default_arena_words
-    ((nodes * 3 * Oa_runtime.Flat_mem.line_words) + (1 lsl 20))
+    ((nodes * 3 * Oa_runtime.Flat_mem.line_words) + head_words + (1 lsl 20))
 
 (* Returns the shard plus (records replayed, checkpoint keys loaded) —
    both 0 for a volatile or fresh-directory shard; [create] uses the
@@ -163,10 +164,9 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
     if cfg.elastic then None
     else
       Some
-        (arena_words
-           ~nodes:
-             (Oa_structures.Hash_table.arena_nodes ~capacity
-                ~expected_size:expected))
+        (arena_words ~nodes:capacity
+           ~head_words:
+             (Oa_structures.Hash_table.head_words ~expected_size:expected))
   in
   let module R = (val Oa_runtime.Real_backend.make ?arena_words ()) in
   let module Sch = Schemes.Make (R) in
@@ -187,7 +187,7 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
   in
   (* The shard arena feeds the sink's gauge pool: same-named gauges from
      all shards are summed into one service-wide view per snapshot. *)
-  Oa_obs.Sink.attach_gauges obs (fun () -> H.A.gauges (H.arena tbl));
+  Oa_obs.Sink.attach_gauges obs (fun () -> H.gauges tbl);
   (* Recovery, before any worker exists: load the checkpoint's key set,
      then replay the retained WAL records — both through the structure's
      batched path, from the main domain's registration (the same pattern
@@ -272,7 +272,7 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
       contents = (fun () -> Array.of_list (H.to_list tbl));
       validate = (fun () -> H.validate tbl ~limit:(10 * capacity));
       smr_stats = (fun () -> S.stats (H.smr tbl));
-      mem_gauges = (fun () -> H.A.gauges (H.arena tbl));
+      mem_gauges = (fun () -> H.gauges tbl);
       persist;
     },
     recovered )

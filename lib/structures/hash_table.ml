@@ -1,66 +1,80 @@
 (** Lock-free hash table (Michael, SPAA 2002): an array of buckets, each a
     Harris-Michael linked list.
 
-    As in the paper's evaluation: a fixed bucket count chosen for a load
-    factor of 0.75 at the expected size, no resizing, so with 10 000 keys
-    the average chain length is below one node — operations are extremely
-    short and the per-operation costs of the SMR schemes (EBR's fence per
-    operation, HP's fence per read) dominate, which is what Figure 1's hash
-    panel shows.
+    As in the paper's evaluation: a fixed bucket count, no resizing.  The
+    count is the next power of two (at least 16) of [expected_size / 0.75],
+    so the load factor at the expected size lies between 0.375 and 0.75;
+    with 10 000 keys the average chain length is below one node —
+    operations are extremely short and the per-operation costs of the SMR
+    schemes (EBR's fence per operation, HP's fence per read) dominate,
+    which is what Figure 1's hash panel shows.
 
-    Every bucket head is a sentinel node from the shared arena; all buckets
-    share one arena and one SMR instance. *)
+    All buckets share one node arena and one SMR instance.  A bucket head
+    is not a node but a single word holding the chain's first pointer;
+    the heads are packed eight to a cache line in one runtime node block
+    beside the arena, and bucket [b]'s head is word [b] of that block (on
+    the flat backend, word [base + b]). *)
 
 module Ptr = Oa_mem.Ptr
 
-(** Power-of-two bucket count >= expected / load_factor. *)
+(** Power-of-two bucket count >= expected / load_factor, at least 16. *)
 let bucket_count ~expected_size =
   let target = int_of_float (ceil (float_of_int expected_size /. 0.75)) in
   let rec pow2 n = if n >= target then n else pow2 (2 * n) in
   pow2 16
 
-(** Nodes in the fixed arena of [create ~capacity ~expected_size]: the
-    node budget plus one sentinel per bucket. *)
-let arena_nodes ~capacity ~expected_size =
-  capacity + bucket_count ~expected_size
+(** Words of backend memory the bucket heads of a
+    [create ~expected_size] table take outside its node arena: one per
+    bucket. *)
+let head_words ~expected_size = bucket_count ~expected_size
 
 module Make (S : Oa_core.Smr_intf.S) = struct
   module R = S.R
   module A = Oa_mem.Arena.Make (S.R)
   module L = Linked_list.Make (S)
 
-  type t = { list : L.t; buckets : Ptr.t array; mask : int }
+  type t = { list : L.t; heads : R.block; mask : int }
   type ctx = L.ctx
+
+  (* Bucket [b]'s head: word [b land 7] of head line [b lsr 3] — a
+     64-byte line holds eight words, and [bucket_count] is a power of two
+     >= 16, so the lines divide the buckets exactly. *)
+  let head_cell heads b = R.node_cell heads (b lsr 3) (b land 7)
 
   let create ?obs ?(elastic = false) ?chunk_nodes ~capacity ~expected_size cfg =
     let n_buckets = bucket_count ~expected_size in
     let arena =
-      (* fixed arenas reserve bucket-sentinel headroom on top of the node
-         budget; elastic ones size themselves *)
       if elastic then A.create_elastic ?chunk_nodes ~n_fields:L.n_fields ()
-      else
-        A.create
-          ~capacity:(arena_nodes ~capacity ~expected_size)
-          ~n_fields:L.n_fields
+      else A.create ~capacity ~n_fields:L.n_fields
     in
     let smr = S.create ?obs arena cfg in
-    let list = L.on_arena arena smr in
-    (* [on_arena] allocated one sentinel we use as bucket 0. *)
-    let buckets =
-      Array.init n_buckets (fun i ->
-          if i = 0 then L.head list else L.alloc_sentinel arena)
-    in
-    { list; buckets; mask = n_buckets - 1 }
+    let heads = R.node_block ~nodes:(n_buckets / 8) ~fields:8 in
+    for b = 0 to n_buckets - 1 do
+      R.write (head_cell heads b) Ptr.null
+    done;
+    let list = L.on_arena arena smr ~head:(head_cell heads 0) in
+    { list; heads; mask = n_buckets - 1 }
 
   let register t = L.register t.list
   let quiesce (ctx : ctx) = L.quiesce ctx
   let smr t = L.smr t.list
   let arena t = L.arena t.list
-  let n_buckets t = Array.length t.buckets
+  let n_buckets t = t.mask + 1
+
+  (** The arena's memory gauges, with [mem_committed_bytes] also counting
+      the bucket heads: they live outside the arena but are resident for
+      the table's lifetime. *)
+  let gauges t =
+    let heads = n_buckets t * Oa_alloc.Size_class.word_bytes in
+    List.map
+      (fun (name, v) ->
+        if name = "mem_committed_bytes" then (name, v + heads) else (name, v))
+      (A.gauges (arena t))
 
   (* Fibonacci hashing: spreads consecutive keys across buckets. *)
   let bucket_index t key = (key * 0x2545F4914F6CDD1D) lsr 13 land t.mask
-  let bucket t key = t.buckets.(bucket_index t key)
+  let bucket_head t b = head_cell t.heads b
+  let bucket t key = bucket_head t (bucket_index t key)
 
   let contains t ctx key = L.contains_at ctx ~head:(bucket t key) key
   let insert t ctx key = L.insert_at ctx ~head:(bucket t key) key
@@ -248,18 +262,20 @@ module Make (S : Oa_core.Smr_intf.S) = struct
   (* --- Quiescent helpers --- *)
 
   let to_list t =
-    Array.fold_left
-      (fun acc head -> List.rev_append (L.to_list_from t.list ~head) acc)
-      [] t.buckets
-    |> List.sort compare
+    let acc = ref [] in
+    for b = 0 to n_buckets t - 1 do
+      acc :=
+        List.rev_append (L.to_list_from t.list ~head:(bucket_head t b)) !acc
+    done;
+    List.sort compare !acc
 
   let validate t ~limit =
-    let rec go i =
-      if i >= Array.length t.buckets then Ok ()
+    let rec go b =
+      if b >= n_buckets t then Ok ()
       else
-        match L.validate_from t.list ~head:t.buckets.(i) ~limit with
-        | Ok () -> go (i + 1)
-        | Error e -> Error (Printf.sprintf "bucket %d: %s" i e)
+        match L.validate_from t.list ~head:(bucket_head t b) ~limit with
+        | Ok () -> go (b + 1)
+        | Error e -> Error (Printf.sprintf "bucket %d: %s" b e)
     in
     go 0
 end

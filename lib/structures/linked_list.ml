@@ -11,7 +11,9 @@
     as in Listing 1.
 
     The list is also the building block of {!Hash_table}: every operation
-    takes the list head explicitly, a per-bucket sentinel node. *)
+    takes the list head explicitly.  A head is a bare word holding the
+    first pointer — not a sentinel node — so a table packs eight bucket
+    heads to a cache line; a standalone list's head is a one-node block. *)
 
 module Ptr = Oa_mem.Ptr
 
@@ -24,26 +26,22 @@ module Make (S : Oa_core.Smr_intf.S) = struct
   let f_next = 1
   let n_fields = 2
 
-  type t = { arena : A.t; smr : S.t; head : Ptr.t }
+  type t = { arena : A.t; smr : S.t; head : R.cell }
   type ctx = { t : t; sctx : S.ctx }
 
   let key_cell t p = A.field t.arena p f_key
   let next_cell t p = A.field t.arena p f_next
 
-  (* Allocate a sentinel straight from the bump region; sentinels are never
-     retired, so they bypass the SMR allocator. *)
-  let alloc_sentinel arena =
-    match A.bump_range arena 1 with
-    | None -> raise Oa_core.Smr_intf.Arena_exhausted
-    | Some idx ->
-        let p = Ptr.of_index idx in
-        R.write (A.field arena p f_key) min_int;
-        R.write (A.field arena p f_next) Ptr.null;
-        p
-
   (** Successor function for the Anchors scheme's protection walk: a raw
       arena read, safe even on recycled nodes. *)
   let successor_of arena p = Ptr.unmark (R.read (A.field arena p f_next))
+
+  (** Build a list on a caller-provided arena and SMR instance, with its
+      first pointer in [head], which the caller has set to {!Ptr.null};
+      used by {!Hash_table} to share one arena across buckets. *)
+  let on_arena arena smr ~head =
+    S.set_successor smr (successor_of arena);
+    { arena; smr; head }
 
   let create ?obs ?(elastic = false) ?chunk_nodes ~capacity cfg =
     let arena =
@@ -51,14 +49,9 @@ module Make (S : Oa_core.Smr_intf.S) = struct
       else A.create ~capacity ~n_fields
     in
     let smr = S.create ?obs arena cfg in
-    S.set_successor smr (successor_of arena);
-    { arena; smr; head = alloc_sentinel arena }
-
-  (** Build a list (and its SMR instance) on a caller-provided arena; used
-      by {!Hash_table} to share one arena across buckets. *)
-  let on_arena arena smr =
-    S.set_successor smr (successor_of arena);
-    { arena; smr; head = alloc_sentinel arena }
+    let head = R.node_cell (R.node_block ~nodes:1 ~fields:1) 0 0 in
+    R.write head Ptr.null;
+    on_arena arena smr ~head
 
   let register t = { t; sctx = S.register t.smr }
   let quiesce ctx = S.quiesce ctx.sctx
@@ -69,79 +62,72 @@ module Make (S : Oa_core.Smr_intf.S) = struct
   let successor t p = successor_of t.arena p
 
   (* Result of the search loop of the generator: the position where [key]
-     belongs.  [prev] is protected (or a sentinel), [cur] is the first
-     unmarked node with key >= [key] (or null), [next] is [cur]'s unmarked
-     successor value as read. *)
+     belongs.  [prev_next] is the cell holding [cur] — [prev]'s next
+     field, or the list head while [prev] is null; [prev] is protected
+     when non-null.  [cur] is the first unmarked node with key >= [key]
+     (or null), [next] is [cur]'s unmarked successor value as read. *)
   type position = {
-    prev : Ptr.t;
+    prev : Ptr.t;  (* null while [cur] hangs off the head *)
+    prev_next : R.cell;
     cur : Ptr.t;  (* unmarked; null when the tail was reached *)
     cur_key : int;  (* meaningless when [cur] is null *)
     next : int;  (* raw value of cur.next, unmarked by the break condition *)
   }
 
   (* The search of Listing 1 / Listing 5, with hazard-slot rotation for
-     HP-style schemes: slots [s.(0)], [s.(1)], [s.(2)] rotate through the
-     roles prev / cur / next.  Physical deletes of marked nodes happen here
-     (restartable), followed by the proper [retire]. *)
+     HP-style schemes: slots [s_prev], [s_cur], [s_next] rotate through
+     the roles prev / cur / next.  Physical deletes of marked nodes happen
+     here (restartable), followed by the proper [retire].  An unlink at
+     the head has a null [obj]: the head is not a node, so no scheme
+     protects it (every [protect]/[hold] skips null, every scan ignores
+     negative hazard values). *)
   let search ctx ~head key =
     let t = ctx.t and sctx = ctx.sctx in
     let rec start () =
-      let s_prev = ref 1 and s_cur = ref 0 and s_next = ref 2 in
-      let prev = ref head in
-      let cur = ref (S.read_ptr sctx ~hp:!s_cur (next_cell t head)) in
-      let rec step () =
-        if Ptr.is_null !cur then { prev = !prev; cur = Ptr.null; cur_key = 0; next = Ptr.null }
+      step ~s_prev:1 ~s_cur:0 ~s_next:2 Ptr.null head
+        (S.read_ptr sctx ~hp:0 head)
+    and step ~s_prev ~s_cur ~s_next prev prev_next cur =
+      if Ptr.is_null cur then
+        { prev; prev_next; cur = Ptr.null; cur_key = 0; next = Ptr.null }
+      else begin
+        let curp = Ptr.unmark cur in
+        let cur_next = next_cell t curp in
+        (* The three reads are independent; the barrier of the last one
+           (read_ptr's check) covers all of them — the paper's batched
+           reads optimization, one check per node as in Listing 5. *)
+        let cur_key = S.read_data sctx (key_cell t curp) in
+        let tmp = S.read_data sctx prev_next in
+        let next = S.read_ptr sctx ~hp:s_next cur_next in
+        if tmp <> cur then start ()
+        else if not (Ptr.is_marked next) then
+          if cur_key >= key then { prev; prev_next; cur = curp; cur_key; next }
+          else
+            (* advance: prev <- cur <- next *)
+            step ~s_prev:s_cur ~s_cur:s_next ~s_next:s_prev curp cur_next next
         else begin
-          let curp = Ptr.unmark !cur in
-          (* The three reads are independent; the barrier of the last one
-             (read_ptr's check) covers all of them — the paper's batched
-             reads optimization, one check per node as in Listing 5. *)
-          let cur_key = S.read_data sctx (key_cell t curp) in
-          let tmp = S.read_data sctx (next_cell t !prev) in
-          let next = S.read_ptr sctx ~hp:!s_next (next_cell t curp) in
-          if tmp <> !cur then start ()
-          else if not (Ptr.is_marked next) then
-            if cur_key >= key then
-              { prev = !prev; cur = curp; cur_key; next }
-            else begin
-              (* advance: prev <- cur <- next *)
-              prev := curp;
-              let freed = !s_prev in
-              s_prev := !s_cur;
-              s_cur := !s_next;
-              s_next := freed;
-              cur := next;
-              step ()
-            end
-          else begin
-            (* [curp] is logically deleted: physically unlink it. *)
-            let unmarked_next = Ptr.unmark next in
-            let ok =
-              S.cas sctx
-                {
-                  S.obj = !prev;
-                  target = next_cell t !prev;
-                  expected = !cur;
-                  new_value = unmarked_next;
-                  expected_is_ptr = true;
-                  new_is_ptr = true;
-                }
-            in
-            if ok then begin
-              S.retire sctx curp;
-              (* prev keeps its slot; the value read into s_next becomes
-                 cur, freeing the old cur slot. *)
-              let freed = !s_cur in
-              s_cur := !s_next;
-              s_next := freed;
-              cur := unmarked_next;
-              step ()
-            end
-            else start ()
+          (* [curp] is logically deleted: physically unlink it. *)
+          let unmarked_next = Ptr.unmark next in
+          let ok =
+            S.cas sctx
+              {
+                S.obj = prev;
+                target = prev_next;
+                expected = cur;
+                new_value = unmarked_next;
+                expected_is_ptr = true;
+                new_is_ptr = true;
+              }
+          in
+          if ok then begin
+            S.retire sctx curp;
+            (* prev keeps its slot; the value read into s_next becomes
+               cur, freeing the old cur slot. *)
+            step ~s_prev ~s_cur:s_next ~s_next:s_cur prev prev_next
+              unmarked_next
           end
+          else start ()
         end
-      in
-      step ()
+      end
     in
     start ()
 
@@ -179,7 +165,7 @@ module Make (S : Oa_core.Smr_intf.S) = struct
         let d =
           {
             S.obj = pos.prev;
-            target = next_cell t pos.prev;
+            target = pos.prev_next;
             expected = pos.cur;
             new_value = !node;
             expected_is_ptr = true;
@@ -248,7 +234,7 @@ module Make (S : Oa_core.Smr_intf.S) = struct
         in
         go acc next
     in
-    go [] (R.read (next_cell t head))
+    go [] (R.read head)
 
   let to_list t = to_list_from t ~head:t.head
 
@@ -267,7 +253,7 @@ module Make (S : Oa_core.Smr_intf.S) = struct
           if k <= last then Error (Printf.sprintf "keys not increasing: %d after %d" k last)
           else go k next (hops + 1)
     in
-    go min_int (R.read (next_cell t head)) 0
+    go min_int (R.read head) 0
 
   let validate t ~limit = validate_from t ~head:t.head ~limit
 end

@@ -280,22 +280,91 @@ let retained f =
   ignore (Sys.opaque_identity r);
   float_of_int ((l1 - l0) * (Sys.word_size / 8))
 
-(* A hash table retains exactly one size-proportional array: its
-   buckets. *)
+(* A hash table retains nothing size-proportional on the OCaml heap:
+   its nodes live in the arena's block and its bucket heads in a second
+   block beside it, both addressed by arithmetic — 2^20 buckets and a
+   1M-node arena stay under the same budget as a bare arena. *)
 let test_heap_hash_table () =
   let module R = (val Oa_runtime.Real_backend.make ()) in
   let module S = Oa_core.Oa.Make (R) in
   let module H = Oa_structures.Hash_table.Make (S) in
-  let expected_size = 100_000 in
-  let n_buckets = Oa_structures.Hash_table.bucket_count ~expected_size in
+  let expected_size = 786_432 in
+  Alcotest.(check int) "2^20 buckets" (1 lsl 20)
+    (Oa_structures.Hash_table.bucket_count ~expected_size);
   let bytes =
     retained (fun () ->
         H.create ~capacity:1_000_000 ~expected_size
           Oa_core.Smr_intf.default_config)
   in
-  check_heap "hash table, 1M-node arena"
-    ~budget:(heap_budget +. float_of_int ((n_buckets + 1) * (Sys.word_size / 8)))
+  check_heap "hash table, 2^20 buckets, 1M-node arena" ~budget:heap_budget
     bytes
+
+(* --- packed bucket heads --- *)
+
+(* Bucket heads are packed eight to a line: an insert (and the unlink
+   after a delete) rewrites its own head word and no other on the
+   line. *)
+let test_head_neighbours r () =
+  let module R = (val r : Oa_runtime.Runtime_intf.S) in
+  let module S = Oa_core.Oa.Make (R) in
+  let module H = Oa_structures.Hash_table.Make (S) in
+  let t =
+    H.create ~capacity:4096 ~expected_size:512 Oa_core.Smr_intf.default_config
+  in
+  let ctx = H.register t in
+  (* the smallest key landing in [b] *)
+  let key_in b =
+    let rec go k = if H.bucket_index t k = b then k else go (k + 1) in
+    go 1
+  in
+  let line = 5 in
+  let heads () =
+    List.init 8 (fun i -> R.read (H.bucket_head t ((8 * line) + i)))
+  in
+  (* populate the line's other buckets so their heads are not all null *)
+  for i = 0 to 7 do
+    if i <> 3 then ignore (H.insert t ctx (key_in ((8 * line) + i)))
+  done;
+  let before = heads () in
+  let b = (8 * line) + 3 in
+  let k = key_in b in
+  let check_others what after =
+    List.iteri
+      (fun i (x, y) ->
+        if i <> 3 then
+          Alcotest.(check int) (Printf.sprintf "%s: head %d" what i) x y)
+      (List.combine before after)
+  in
+  Alcotest.(check bool) "insert" true (H.insert t ctx k);
+  let after = heads () in
+  Alcotest.(check bool) "own head set" false
+    (Ptr.is_null (List.nth after 3));
+  check_others "insert" after;
+  Alcotest.(check bool) "delete" true (H.delete t ctx k);
+  Alcotest.(check bool) "gone" false (H.contains t ctx k);
+  let after = heads () in
+  Alcotest.(check bool) "own head unlinked" true
+    (Ptr.is_null (List.nth after 3));
+  check_others "delete" after
+
+(* The committed-memory gauge counts the heads too: they sit outside the
+   arena but are resident for the table's lifetime. *)
+let test_head_gauge () =
+  let module R = (val Oa_runtime.Real_backend.make ()) in
+  let module S = Oa_core.Oa.Make (R) in
+  let module H = Oa_structures.Hash_table.Make (S) in
+  let capacity = 4096 in
+  let t =
+    H.create ~capacity ~expected_size:1000 Oa_core.Smr_intf.default_config
+  in
+  let ctx = H.register t in
+  for k = 1 to 1000 do
+    ignore (H.insert t ctx k)
+  done;
+  let stride = Oa_runtime.Real_backend.node_stride ~nodes:capacity ~fields:2 in
+  Alcotest.(check int) "bump_used * stride * 8 + n_buckets * 8"
+    ((H.A.bump_used (H.arena t) * stride * 8) + (H.n_buckets t * 8))
+    (List.assoc "mem_committed_bytes" (H.gauges t))
 
 let both name f =
   [
@@ -333,6 +402,9 @@ let () =
           Alcotest.test_case "elastic arena" `Quick test_heap_elastic;
           Alcotest.test_case "hash table" `Quick test_heap_hash_table;
         ] );
+      ( "bucket heads",
+        both "neighbours unchanged" test_head_neighbours
+        @ [ Alcotest.test_case "committed gauge" `Quick test_head_gauge ] );
       ( "concurrent",
         [
           Alcotest.test_case "disjoint bump ranges" `Quick

@@ -209,7 +209,7 @@ let run_oa_scenario () =
         assert (L.insert ctx 5);
         let victim =
           Oa_mem.Ptr.unmark
-            (S.read_ptr ctx.L.sctx ~hp:0 (L.next_cell t (L.head t)))
+            (S.read_ptr ctx.L.sctx ~hp:0 (L.head t))
         in
         R.stall 50_000_000;
         (try ignore (S.read_ptr ctx.L.sctx ~hp:0 (L.key_cell t victim))

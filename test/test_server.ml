@@ -325,8 +325,8 @@ let run_oversized_budget () =
 
 (* RC carves two per-node side tables (counters and flags, a line per
    node each) from the same flat arena as the table's nodes.  A shard of
-   over 65 536 nodes — here 25 000 expected keys, 65 536 bucket sentinels
-   and the delta — needs them to fit too. *)
+   a large node budget — here 25 000 expected keys and the delta, beside
+   65 536 bucket heads — needs them to fit too. *)
 let run_rc_side_tables () =
   ignore
     (serve_round
@@ -337,6 +337,37 @@ let run_rc_side_tables () =
          prefill = 25_000;
          key_range = 50_000;
        })
+
+(* kv_read_large's shape: 2 shards, 500 000 keys prefilled.  The
+   committed gauge is each shard's arena — bump_used nodes of one 64-byte
+   line each — plus its bucket heads, one word per bucket.  bump_used is
+   the prefill's nodes rounded up to the allocator's chunk grain, so it
+   lies within a chunk or two per shard of the key count. *)
+let run_committed_gauge () =
+  let cfg =
+    {
+      Sv.default_config with
+      Sv.shards = 2;
+      prefill = 500_000;
+      key_range = 1_000_000;
+      delta = 50_000;
+    }
+  in
+  let t = Sv.create cfg in
+  let n_buckets =
+    Oa_structures.Hash_table.bucket_count
+      ~expected_size:(cfg.Sv.prefill / cfg.Sv.shards)
+  in
+  let heads = cfg.Sv.shards * n_buckets * 8 in
+  let committed = Sv.mem_gauge t "mem_committed_bytes" in
+  let nodes = (committed - heads) / 64 in
+  Alcotest.(check int) "whole node lines past the heads" 0
+    ((committed - heads) mod 64);
+  if nodes < cfg.Sv.prefill
+     || nodes > cfg.Sv.prefill + (2 * cfg.Sv.shards * cfg.Sv.chunk_size)
+  then
+    Alcotest.failf "committed %d B = %d node lines + %d B of heads" committed
+      nodes heads
 
 let case ?dequeue_batch name scheme =
   Alcotest.test_case name `Quick (fun () -> run_stack ?dequeue_batch scheme)
@@ -370,5 +401,7 @@ let () =
             `Quick run_oversized_budget;
           Alcotest.test_case "RC side tables past 65 536 nodes" `Quick
             run_rc_side_tables;
+          Alcotest.test_case "committed gauge counts bucket heads" `Quick
+            run_committed_gauge;
         ] );
     ]

@@ -55,7 +55,7 @@ let run_scenario () =
         (* seed the list with the victim, then hold a pointer to it *)
         assert (L.insert ctx victim_key);
         let victim =
-          Ptr.unmark (S.read_ptr ctx.L.sctx ~hp:0 (L.next_cell t (L.head t)))
+          Ptr.unmark (S.read_ptr ctx.L.sctx ~hp:0 (L.head t))
         in
         assert (R.read (L.key_cell t victim) = victim_key);
         (* ... and go to sleep holding that pointer *)
@@ -128,7 +128,7 @@ let test_across_seeds () =
           assert (L.insert ctx victim_key);
           let victim =
             Ptr.unmark
-              (S.read_ptr ctx.L.sctx ~hp:0 (L.next_cell t (L.head t)))
+              (S.read_ptr ctx.L.sctx ~hp:0 (L.head t))
           in
           R.stall 50_000_000;
           try ignore (S.read_ptr ctx.L.sctx ~hp:0 (L.key_cell t victim))
@@ -197,7 +197,7 @@ let run_load_bearing ~checked =
               else walk (hops + 1) next
             end
           in
-          try walk 1 (S.read_ptr sctx ~hp:0 (L.next_cell t (L.head t)))
+          try walk 1 (S.read_ptr sctx ~hp:0 (L.head t))
           with I.Restart -> contains_9 ()
         in
         answer := contains_9 ()

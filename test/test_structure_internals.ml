@@ -26,11 +26,13 @@ let test_bucket_count_load_factor () =
 
 let test_bucket_spread () =
   (* sequential keys must spread: no bucket takes more than a small
-     multiple of the mean *)
+     multiple of the mean.  Buckets are counted by index: on the
+     simulator the eight packed heads of one line are structurally equal
+     cells, so the head cells themselves are no key. *)
   let t = H.create ~capacity:4096 ~expected_size:512 cfg in
   let counts = Hashtbl.create 64 in
   for k = 1 to 2048 do
-    let b = H.bucket t k in
+    let b = H.bucket_index t k in
     let c = try Hashtbl.find counts b with Not_found -> 0 in
     Hashtbl.replace counts b (c + 1)
   done;
@@ -152,7 +154,7 @@ let test_list_successor_function () =
   let ctx = L.register t in
   ignore (L.insert ctx 1);
   ignore (L.insert ctx 2);
-  let n1 = Ptr.unmark (R.read (L.next_cell t (L.head t))) in
+  let n1 = Ptr.unmark (R.read (L.head t)) in
   let n2 = L.successor t n1 in
   Alcotest.(check int) "successor is the next node" 2
     (R.read (L.key_cell t n2));
@@ -173,7 +175,7 @@ let test_list_physical_delete_on_traversal () =
       if Ptr.is_null p then n
       else go (R.read (L.next_cell t (Ptr.unmark p))) (n + 1)
     in
-    go (R.read (L.next_cell t (L.head t))) 0
+    go (R.read (L.head t)) 0
   in
   Alcotest.(check int) "node still linked after logical delete" 5 hops_before;
   ignore (L.contains ctx 5);
@@ -182,7 +184,7 @@ let test_list_physical_delete_on_traversal () =
       if Ptr.is_null p then n
       else go (R.read (L.next_cell t (Ptr.unmark p))) (n + 1)
     in
-    go (R.read (L.next_cell t (L.head t))) 0
+    go (R.read (L.head t)) 0
   in
   Alcotest.(check int) "traversal physically unlinked it" 4 hops_after
 
