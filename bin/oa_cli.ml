@@ -1463,7 +1463,8 @@ let bench_core_cmd =
         (List.fold_left
            (fun st r -> Oa_core.Smr_intf.add_stats st r.E.smr_stats)
            Oa_core.Smr_intf.empty_stats runs);
-      median (List.map (fun r -> r.E.throughput) runs)
+      ( median (List.map (fun r -> r.E.throughput) runs),
+        median (List.map (fun r -> r.E.minor_words_per_op) runs) )
     in
     let buf = Buffer.create 1024 in
     Buffer.add_string buf "{\n";
@@ -1477,30 +1478,50 @@ let bench_core_cmd =
     Format.printf
       "(points marked * run more domains than the machine has cores: their \
        numbers measure scheduler interleaving, not parallel speedup)@.";
-    Format.printf "%-8s %8s %12s@." "scheme" "domains" "Mops";
-    let mops =
+    Format.printf "%-8s %8s %12s %14s@." "scheme" "domains" "Mops"
+      "minor w/op";
+    let points =
       List.concat_map
         (fun scheme ->
           List.map
             (fun n ->
-              let tp = point scheme n in
-              Format.printf "%-8s %7d%s %12.3f@." (Schemes.id_name scheme) n
+              let tp, words = point scheme n in
+              Format.printf "%-8s %7d%s %12.3f %14.3f@."
+                (Schemes.id_name scheme) n
                 (if n > host_cores then "*" else " ")
-                (tp /. 1e6);
-              ((scheme, n), tp))
+                (tp /. 1e6) words;
+              ((scheme, n), (tp, words)))
             domains)
         schemes
     in
+    let mops = List.map (fun (k, (tp, _)) -> (k, tp)) points in
     Buffer.add_string buf
       (String.concat ",\n"
          (List.map
-            (fun ((s, n), tp) ->
+            (fun ((s, n), (tp, words)) ->
               Printf.sprintf
                 "    {\"scheme\": \"%s\", \"domains\": %d, \"mops\": %.4f, \
-                 \"oversubscribed\": %b}"
-                (Schemes.id_name s) n (tp /. 1e6) (n > host_cores))
-            mops));
+                 \"minor_words_per_op\": %.3f, \"oversubscribed\": %b}"
+                (Schemes.id_name s) n (tp /. 1e6) words (n > host_cores))
+            points));
     Buffer.add_string buf "\n  ],\n";
+    (* Per-scheme allocation on the operation path: the worst domain
+       point's minor-heap words per operation (each domain reads its own
+       [Gc.minor_words] around its operation loop; the sum over domains
+       is divided by the operations).  bin/perf_gate.sh holds every
+       scheme to at most one word. *)
+    Printf.bprintf buf "  \"minor_words_per_op\": {%s},\n"
+      (String.concat ", "
+         (List.map
+            (fun scheme ->
+              let worst =
+                List.fold_left
+                  (fun acc ((s, _), (_, words)) ->
+                    if s = scheme then Float.max acc words else acc)
+                  0.0 points
+              in
+              Printf.sprintf "\"%s\": %.3f" (Schemes.id_name scheme) worst)
+            schemes));
     (* The OA-vs-VBR crossover series (EXPERIMENTS.md): per-domain ratio
        of VBR over OA throughput, emitted whenever the sweep measured
        both schemes so future PRs can gate on the crossover not

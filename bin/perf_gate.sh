@@ -14,6 +14,12 @@
 # core runner it measures scheduler time-slicing, and which batch size
 # wins that coin flip is noise.
 #
+# The operation path must also stay allocation-free: every scheme's
+# "minor_words_per_op" (minor-heap words per hash-table operation, the
+# worst of its domain points) must be <= 1.  The one word of slack
+# covers amortised pool-chunk refills and threshold work; the per-op
+# path itself allocates nothing (test/test_alloc.ml).
+#
 # Usage: perf_gate.sh [BENCH_core.json]
 #   OA_PERF_GATE_TOL=0.85  override the tolerance
 #
@@ -24,10 +30,31 @@ set -eu
 
 JSON="${1:-BENCH_core.json}"
 TOL="${OA_PERF_GATE_TOL:-0.90}"
+WORDS=1
 
 test -s "$JSON" || { echo "perf-gate: $JSON missing or empty" >&2; exit 1; }
 
-awk -v tol="$TOL" '
+awk -v tol="$TOL" -v words="$WORDS" '
+  # --- minor-heap words per operation, per scheme ---
+  /^  "minor_words_per_op": \{/ {
+    line = $0
+    sub(/.*\{/, "", line); sub(/\}.*/, "", line)
+    n = split(line, pairs, /, */)
+    for (i = 1; i <= n; i++) {
+      split(pairs[i], kv, /": */)
+      scheme = kv[1]; sub(/^"/, "", scheme)
+      w = kv[2] + 0
+      gated++; alloc_gated++
+      if (w > words + 0) {
+        printf "perf-gate: FAIL alloc   %-4s minor words/op: %.3f > %s\n", \
+          scheme, w, words
+        fails++
+      } else {
+        printf "perf-gate: ok   alloc   %-4s minor words/op: %.3f\n", scheme, w
+      }
+    }
+  }
+
   # --- batch speedup per scheme (skip if sweep oversubscribed) ---
   /"batch_sweep"/ { in_batch = 1 }
   in_batch && /"oversubscribed"/ { batch_over = ($0 ~ /true/) }
@@ -62,6 +89,10 @@ awk -v tol="$TOL" '
   }
 
   END {
+    if (alloc_gated == 0) {
+      print "perf-gate: FAIL no minor_words_per_op summary found in input"
+      exit 1
+    }
     if (gated == 0) {
       # refuse to "pass" on a file the gate could not read: an upstream
       # format change must break CI loudly, not disarm the gate silently

@@ -33,15 +33,6 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
   module A = Oa_mem.Arena.Make (R)
   module VP = Versioned_pool.Make (R)
 
-  type desc = {
-    obj : Ptr.t;
-    target : R.cell;
-    expected : int;
-    new_value : int;
-    expected_is_ptr : bool;
-    new_is_ptr : bool;
-  }
-
   type ctx = {
     mm : t;
     warning : R.cell;  (* packed [version lor warning_bit] *)
@@ -195,7 +186,7 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
      [Hazard_publish] span covers operand publication, the fence and the
      warning re-check — OA's fixed write-barrier overhead — and ends
      before the CAS itself, which any scheme pays. *)
-  let cas ctx d =
+  let cas ctx (d : R.cell Smr_intf.desc) =
     let t0 = Smr_intf.prof_enter ctx.prof Oa_obs.Phase.Hazard_publish in
     R.write ctx.hps.(0) (Ptr.unmark d.obj);
     if d.expected_is_ptr && not (Ptr.is_null d.expected) then
@@ -218,41 +209,50 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
     clear_write_hps ctx;
     res
 
+  (* Protect one CAS-list operand in owner slot [base + used] unless a
+     slot below it already holds the object (the paper's "basic
+     optimization"); returns the new slot count.  The duplicate scan reads
+     every filled slot, without an early exit: on the simulator each read
+     is a costed access. *)
+  let protect_owner ctx base used p =
+    if Ptr.is_null p then used
+    else begin
+      let u = Ptr.unmark p in
+      let dup = ref false in
+      for j = 0 to used - 1 do
+        if R.read ctx.hps.(base + j) = u then dup := true
+      done;
+      if !dup then used
+      else begin
+        R.write ctx.hps.(base + used) u;
+        used + 1
+      end
+    end
+
   (* Algorithm 3: protect the CAS list from the end of the generator to the
-     end of the wrap-up.  Duplicate objects are protected once (the paper's
-     "basic optimization"); an empty list needs no fence and no check. *)
-  let protect_descs ctx descs =
-    if Array.length descs > 0 then begin
+     end of the wrap-up.  Duplicate objects are protected once; an empty
+     list needs no fence and no check. *)
+  let protect_descs ctx (cl : R.cell Smr_intf.cas_list) =
+    if cl.len > 0 then begin
       let t0 = Smr_intf.prof_enter ctx.prof Oa_obs.Phase.Hazard_publish in
       let base = ctx.mm.cfg.Smr_intf.hp_slots in
       let used = ref 0 in
-      let protect p =
-        if not (Ptr.is_null p) then begin
-          let u = Ptr.unmark p in
-          let dup = ref false in
-          for j = 0 to !used - 1 do
-            if R.read ctx.hps.(base + j) = u then dup := true
-          done;
-          if not !dup then begin
-            R.write ctx.hps.(base + !used) u;
-            incr used
-          end
-        end
-      in
-      Array.iter
-        (fun d ->
-          protect d.obj;
-          if d.expected_is_ptr then protect d.expected;
-          if d.new_is_ptr then protect d.new_value)
-        descs;
-      ctx.owner_used <- !used;
-      if !used > 0 then begin
+      for i = 0 to cl.len - 1 do
+        let d = cl.descs.(i) in
+        used := protect_owner ctx base !used d.obj;
+        if d.expected_is_ptr then
+          used := protect_owner ctx base !used d.expected;
+        if d.new_is_ptr then used := protect_owner ctx base !used d.new_value
+      done;
+      let used = !used in
+      ctx.owner_used <- used;
+      if used > 0 then begin
         R.fence ();
         ctx.s_fences <- ctx.s_fences + 1;
         let w = R.read ctx.warning in
         if w land 1 = 1 then begin
           ignore (R.cas ctx.warning w (w land lnot 1));
-          for j = 0 to !used - 1 do
+          for j = 0 to used - 1 do
             R.write ctx.hps.(base + j) no_hp
           done;
           ctx.owner_used <- 0;

@@ -151,6 +151,27 @@ let prof_enter p ph =
 let prof_leave p ph t0 =
   match p with None -> () | Some pr -> Oa_obs.Profile.leave pr ph t0
 
+(** A CAS descriptor as produced by a CAS-generator method: the target
+    cell of node [obj], expected and new values, and whether each value
+    operand is a (possibly marked) pointer that needs protection.
+    Parameterised by the backend's cell type.  The fields are mutable so
+    an operation fills descriptors that live in its thread's preallocated
+    buffers ({!cas_list}, and a scratch descriptor for in-generator
+    {!S.cas}es) instead of allocating one per CAS. *)
+type 'cell desc = {
+  mutable obj : Ptr.t;  (** unmarked owner of the target field *)
+  mutable target : 'cell;
+  mutable expected : int;
+  mutable new_value : int;
+  mutable expected_is_ptr : bool;
+  mutable new_is_ptr : bool;
+}
+
+(** A CAS list: descriptors [descs.(0 .. len-1)], in execution order.  A
+    structure keeps one per thread, sized for its longest list, and each
+    generator run refills it from [len = 0]. *)
+type 'cell cas_list = { descs : 'cell desc array; mutable len : int }
+
 module type S = sig
   module R : Oa_runtime.Runtime_intf.S
 
@@ -159,18 +180,6 @@ module type S = sig
 
   type ctx
   (** Per-thread context; must only be used by its owning thread. *)
-
-  (** A CAS descriptor as produced by a CAS-generator method: the target
-      [cell] of node [obj], expected and new values, and whether each value
-      operand is a (possibly marked) pointer that needs protection. *)
-  type desc = {
-    obj : Ptr.t;  (** unmarked owner of the target field *)
-    target : R.cell;
-    expected : int;
-    new_value : int;
-    expected_is_ptr : bool;
-    new_is_ptr : bool;
-  }
 
   val name : string
 
@@ -196,7 +205,7 @@ module type S = sig
 
   val run_batch : ctx -> int -> (int -> unit) -> unit
   (** [run_batch ctx n f] executes [f 0 .. f (n-1)] — each a complete
-      operation on [ctx], typically a {!Normalized} [run_op] — as one
+      operation on [ctx], typically a {!Normalized} [run] — as one
       batch, amortising the scheme's per-operation setup across the batch:
 
       - OA checks (and clears) the warning bit once at the batch boundary,
@@ -269,14 +278,15 @@ module type S = sig
   (** OA: warning-bit check (Algorithm 1); no-op for other schemes.
       @raise Restart when a rollback is required. *)
 
-  val cas : ctx -> desc -> bool
+  val cas : ctx -> R.cell desc -> bool
   (** Observable CAS with operand protection (Algorithm 2).
       @raise Restart when a rollback is required {e before} the CAS is
       attempted; once attempted, the result is returned. *)
 
-  val protect_descs : ctx -> desc array -> unit
+  val protect_descs : ctx -> R.cell cas_list -> unit
   (** Protect all objects of a CAS list until {!clear_descs} (Algorithm 3);
-      called at the end of a generator method.
+      called at the end of a generator method.  Must not retain the list:
+      the caller refills it for its next operation.
       @raise Restart when a rollback is required. *)
 
   val clear_descs : ctx -> unit

@@ -62,6 +62,11 @@ type result = {
   elapsed : float;  (** seconds (simulated or wall) *)
   smr_stats : I.stats;
   final_size : int;
+  minor_words_per_op : float;
+      (** minor-heap words the measured phase allocated, summed over its
+          threads (each reads its own domain's [Gc.minor_words] around its
+          operation loop), per operation; [nan] on the simulator, whose
+          threads share one domain *)
 }
 
 (* Structure-agnostic operation bundle built per thread. *)
@@ -145,10 +150,12 @@ let drive (module R : Oa_runtime.Runtime_intf.S) spec ~(register : int -> ops)
         if ops.op_insert k then decr remaining
       done);
   let per_thread = max 1 (spec.total_ops / spec.threads) in
+  let words = Array.make spec.threads 0.0 in
   R.par_run ~n:spec.threads (fun tid ->
       let ops = register tid in
       let rng = Oa_util.Splitmix.create ((spec.seed * 7919) + tid) in
       let extra_work = structure_op_work spec.structure in
+      let w0 = Gc.minor_words () in
       for _ = 1 to per_thread do
         R.op_work ();
         if extra_work > 0 then R.work extra_work;
@@ -157,7 +164,8 @@ let drive (module R : Oa_runtime.Runtime_intf.S) spec ~(register : int -> ops)
         | Oa_workload.Op_mix.Contains -> ignore (ops.op_contains k)
         | Oa_workload.Op_mix.Insert -> ignore (ops.op_insert k)
         | Oa_workload.Op_mix.Delete -> ignore (ops.op_delete k)
-      done);
+      done;
+      words.(tid) <- Gc.minor_words () -. w0);
   let elapsed = R.elapsed_seconds () in
   (match validate () with
   | Ok () -> ()
@@ -168,7 +176,12 @@ let drive (module R : Oa_runtime.Runtime_intf.S) spec ~(register : int -> ops)
            (Oa_smr.Schemes.id_name spec.scheme)
            e));
   let total = per_thread * spec.threads in
-  (elapsed, float_of_int total /. elapsed, size ())
+  let minor_words_per_op =
+    match spec.backend with
+    | Real -> Array.fold_left ( +. ) 0.0 words /. float_of_int total
+    | Sim _ -> nan
+  in
+  (elapsed, float_of_int total /. elapsed, size (), minor_words_per_op)
 
 (** [run ?sink ?trace spec] executes one experiment.  [sink] (default
     {!Oa_obs.Sink.disabled}) collects the scheme's event telemetry: the
@@ -196,10 +209,17 @@ let run ?(sink = Oa_obs.Sink.disabled) ?trace spec : result =
       in
       let validate () = L.validate t ~limit:(10 * capacity) in
       let size () = List.length (L.to_list t) in
-      let elapsed, throughput, final_size =
+      let elapsed, throughput, final_size, minor_words_per_op =
         drive (module R) spec ~register ~validate ~size
       in
-      { spec; throughput; elapsed; smr_stats = S.stats (L.smr t); final_size }
+      {
+        spec;
+        throughput;
+        elapsed;
+        smr_stats = S.stats (L.smr t);
+        final_size;
+        minor_words_per_op;
+      }
   | Hash_table ->
       let module H = Oa_structures.Hash_table.Make (S) in
       let cfg = smr_config spec ~hp_slots:3 ~max_cas:1 in
@@ -214,10 +234,17 @@ let run ?(sink = Oa_obs.Sink.disabled) ?trace spec : result =
       in
       let validate () = H.validate t ~limit:(10 * capacity) in
       let size () = List.length (H.to_list t) in
-      let elapsed, throughput, final_size =
+      let elapsed, throughput, final_size, minor_words_per_op =
         drive (module R) spec ~register ~validate ~size
       in
-      { spec; throughput; elapsed; smr_stats = S.stats (H.smr t); final_size }
+      {
+        spec;
+        throughput;
+        elapsed;
+        smr_stats = S.stats (H.smr t);
+        final_size;
+        minor_words_per_op;
+      }
   | Skip_list ->
       let module Sl = Oa_structures.Skip_list.Make (S) in
       let cfg =
@@ -236,10 +263,17 @@ let run ?(sink = Oa_obs.Sink.disabled) ?trace spec : result =
       in
       let validate () = Sl.validate t ~limit:(10 * capacity) in
       let size () = List.length (Sl.to_list t) in
-      let elapsed, throughput, final_size =
+      let elapsed, throughput, final_size, minor_words_per_op =
         drive (module R) spec ~register ~validate ~size
       in
-      { spec; throughput; elapsed; smr_stats = S.stats (Sl.smr t); final_size }
+      {
+        spec;
+        throughput;
+        elapsed;
+        smr_stats = S.stats (Sl.smr t);
+        final_size;
+        minor_words_per_op;
+      }
 
 (** Run [repeats] times with distinct seeds; returns per-run throughputs.
     A [sink] accumulates telemetry across all repetitions. *)

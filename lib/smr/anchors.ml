@@ -27,15 +27,6 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
   module VP = Oa_core.Versioned_pool.Make (R)
   module I = Oa_core.Smr_intf
 
-  type desc = {
-    obj : Ptr.t;
-    target : R.cell;
-    expected : int;
-    new_value : int;
-    expected_is_ptr : bool;
-    new_is_ptr : bool;
-  }
-
   type retired_entry = { idx : int; stamp : int }
 
   type ctx = {
@@ -162,19 +153,19 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
   let batch_order_sensitive = false
 
   (* Post an anchor on [v] with HP-style validation against the source
-     cell, then account a new anchor interval. *)
+     cell; [post_anchor] then accounts a new anchor interval. *)
+  let rec anchor_on ctx cell v =
+    if Ptr.is_null v then v
+    else begin
+      R.write ctx.anchor (Ptr.unmark v);
+      R.fence ();
+      ctx.s_fences <- ctx.s_fences + 1;
+      let v' = R.read cell in
+      if v' = v then v else anchor_on ctx cell v'
+    end
+
   let post_anchor ctx cell v =
-    let rec protect v =
-      if Ptr.is_null v then v
-      else begin
-        R.write ctx.anchor (Ptr.unmark v);
-        R.fence ();
-        ctx.s_fences <- ctx.s_fences + 1;
-        let v' = R.read cell in
-        if v' = v then v else protect v'
-      end
-    in
-    let v = protect v in
+    let v = anchor_on ctx cell v in
     bump_seq ctx true;
     ctx.reads <- 0;
     v
@@ -190,7 +181,7 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
   let read_data _ cell = R.read cell
   let protect_move _ ~hp:_ _ = ()
   let check _ = ()
-  let cas _ d = R.cas d.target d.expected d.new_value
+  let cas _ (d : R.cell I.desc) = R.cas d.target d.expected d.new_value
   let protect_descs _ _ = ()
   let clear_descs _ = ()
   (* The only restart is a stall rollback ([refill]): the generator runs

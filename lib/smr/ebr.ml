@@ -18,15 +18,6 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
   module VP = Oa_core.Versioned_pool.Make (R)
   module I = Oa_core.Smr_intf
 
-  type desc = {
-    obj : Ptr.t;
-    target : R.cell;
-    expected : int;
-    new_value : int;
-    expected_is_ptr : bool;
-    new_is_ptr : bool;
-  }
-
   type bucket = { mutable nodes : int array; mutable len : int; mutable epoch : int }
 
   type ctx = {
@@ -256,7 +247,7 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
   let read_data _ cell = R.read cell
   let protect_move _ ~hp:_ _ = ()
   let check _ = ()
-  let cas _ d = R.cas d.target d.expected d.new_value
+  let cas _ (d : R.cell I.desc) = R.cas d.target d.expected d.new_value
   let protect_descs _ _ = ()
   let clear_descs _ = ()
   let on_restart _ = ()

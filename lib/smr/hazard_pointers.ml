@@ -16,15 +16,6 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
   module VP = Oa_core.Versioned_pool.Make (R)
   module I = Oa_core.Smr_intf
 
-  type desc = {
-    obj : Ptr.t;
-    target : R.cell;
-    expected : int;
-    new_value : int;
-    expected_is_ptr : bool;
-    new_is_ptr : bool;
-  }
-
   type ctx = {
     mm : t;
     hps : R.cell array;  (* read slots, then 3 * max_cas owner slots *)
@@ -154,26 +145,26 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
      cell; loop until stable.  Nulls need no protection.  Inside a batch, a
      slot already publishing the target lets the read skip the barrier (see
      [run_batch]). *)
+  let rec protect ctx hp cell v =
+    if Ptr.is_null v then v
+    else if ctx.in_batch && Array.unsafe_get ctx.shadow hp = Ptr.unmark v
+    then v (* hazard carry: [hp] is in range by construction (slot ids
+              are static per structure), so the mirror probe on the
+              batched fast path skips the bounds check *)
+    else begin
+      let t0 = I.prof_enter ctx.prof Oa_obs.Phase.Hazard_publish in
+      R.write ctx.hps.(hp) (Ptr.unmark v);
+      Array.unsafe_set ctx.shadow hp (Ptr.unmark v);
+      R.fence ();
+      ctx.s_fences <- ctx.s_fences + 1;
+      let v' = R.read cell in
+      I.prof_leave ctx.prof Oa_obs.Phase.Hazard_publish t0;
+      if v' = v then v else protect ctx hp cell v'
+    end
+
   let read_ptr ctx ~hp cell =
-    let rec protect v =
-      if Ptr.is_null v then v
-      else if ctx.in_batch && Array.unsafe_get ctx.shadow hp = Ptr.unmark v
-      then v (* hazard carry: [hp] is in range by construction (slot ids
-                are static per structure), so the mirror probe on the
-                batched fast path skips the bounds check *)
-      else begin
-        let t0 = I.prof_enter ctx.prof Oa_obs.Phase.Hazard_publish in
-        R.write ctx.hps.(hp) (Ptr.unmark v);
-        Array.unsafe_set ctx.shadow hp (Ptr.unmark v);
-        R.fence ();
-        ctx.s_fences <- ctx.s_fences + 1;
-        let v' = R.read cell in
-        I.prof_leave ctx.prof Oa_obs.Phase.Hazard_publish t0;
-        if v' = v then v else protect v'
-      end
-    in
     let v = R.read cell in
-    if !unsafe_skip_publication then v else protect v
+    if !unsafe_skip_publication then v else protect ctx hp cell v
 
   let read_data _ cell = R.read cell
 
@@ -190,28 +181,29 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
 
   (* Operands of in-generator CASes are already covered by the read slots
      that led to them, so no extra publication is needed. *)
-  let cas _ d = R.cas d.target d.expected d.new_value
+  let cas _ (d : R.cell I.desc) = R.cas d.target d.expected d.new_value
 
   (* Owner slots keep CAS-list objects protected through the wrap-up even
      if later operations of the generator loop overwrite the read slots.
      The objects are currently protected by read slots, so copying them
      needs no fence. *)
-  let protect_descs ctx descs =
+  let protect_owner ctx base used p =
+    if Ptr.is_null p then used
+    else begin
+      R.write ctx.hps.(base + used) (Ptr.unmark p);
+      ctx.shadow.(base + used) <- Ptr.unmark p;
+      used + 1
+    end
+
+  let protect_descs ctx (cl : R.cell I.cas_list) =
     let base = ctx.mm.cfg.I.hp_slots in
     let used = ref 0 in
-    let protect p =
-      if not (Ptr.is_null p) then begin
-        R.write ctx.hps.(base + !used) (Ptr.unmark p);
-        ctx.shadow.(base + !used) <- Ptr.unmark p;
-        incr used
-      end
-    in
-    Array.iter
-      (fun d ->
-        protect d.obj;
-        if d.expected_is_ptr then protect d.expected;
-        if d.new_is_ptr then protect d.new_value)
-      descs;
+    for i = 0 to cl.len - 1 do
+      let d = cl.descs.(i) in
+      used := protect_owner ctx base !used d.obj;
+      if d.expected_is_ptr then used := protect_owner ctx base !used d.expected;
+      if d.new_is_ptr then used := protect_owner ctx base !used d.new_value
+    done;
     ctx.owner_used <- !used
 
   let clear_descs ctx =

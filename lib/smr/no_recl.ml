@@ -13,15 +13,6 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
   module A = Oa_mem.Arena.Make (R)
   module VP = Oa_core.Versioned_pool.Make (R)
 
-  type desc = {
-    obj : Ptr.t;
-    target : R.cell;
-    expected : int;
-    new_value : int;
-    expected_is_ptr : bool;
-    new_is_ptr : bool;
-  }
-
   type ctx = {
     mm : t;
     mutable alloc_chunk : VP.chunk;
@@ -120,7 +111,8 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
   let read_data _ cell = R.read cell
   let protect_move _ ~hp:_ _ = ()
   let check _ = ()
-  let cas _ d = R.cas d.target d.expected d.new_value
+  let cas _ (d : R.cell Oa_core.Smr_intf.desc) =
+    R.cas d.target d.expected d.new_value
   let protect_descs _ _ = ()
   let clear_descs _ = ()
   let on_restart _ = ()

@@ -25,15 +25,6 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
   module VP = Oa_core.Versioned_pool.Make (R)
   module I = Oa_core.Smr_intf
 
-  type desc = {
-    obj : Ptr.t;
-    target : R.cell;
-    expected : int;
-    new_value : int;
-    expected_is_ptr : bool;
-    new_is_ptr : bool;
-  }
-
   (* lifecycle flag values *)
   let live = 0
   let flag_retired = 1
@@ -190,31 +181,30 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
 
   (* The RC read barrier: acquire the target, validate by re-reading the
      source cell, release what this slot held before. *)
-  let read_ptr ctx ~hp cell =
-    let rec go v =
-      if Ptr.is_null v then begin
-        release ctx ctx.held.(hp);
-        ctx.held.(hp) <- -1;
-        v
-      end
-      else
-        let idx = Ptr.index (Ptr.unmark v) in
-        if ctx.held.(hp) = idx then v
-        else begin
-          acquire ctx idx;
-          let v' = R.read cell in
-          if v' = v then begin
-            release ctx ctx.held.(hp);
-            ctx.held.(hp) <- idx;
-            v
-          end
-          else begin
-            release ctx idx;
-            go v'
-          end
+  let rec hold_read ctx hp cell v =
+    if Ptr.is_null v then begin
+      release ctx ctx.held.(hp);
+      ctx.held.(hp) <- -1;
+      v
+    end
+    else
+      let idx = Ptr.index (Ptr.unmark v) in
+      if ctx.held.(hp) = idx then v
+      else begin
+        acquire ctx idx;
+        let v' = R.read cell in
+        if v' = v then begin
+          release ctx ctx.held.(hp);
+          ctx.held.(hp) <- idx;
+          v
         end
-    in
-    go (R.read cell)
+        else begin
+          release ctx idx;
+          hold_read ctx hp cell v'
+        end
+      end
+
+  let read_ptr ctx ~hp cell = hold_read ctx hp cell (R.read cell)
 
   let read_data _ cell = R.read cell
 
@@ -230,24 +220,25 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
     end
 
   let check _ = ()
-  let cas _ d = R.cas d.target d.expected d.new_value
+  let cas _ (d : R.cell I.desc) = R.cas d.target d.expected d.new_value
 
-  let protect_descs ctx descs =
+  let hold ctx used p =
+    if Ptr.is_null p then used
+    else begin
+      let idx = Ptr.index (Ptr.unmark p) in
+      acquire ctx idx;
+      ctx.owner_held.(used) <- idx;
+      used + 1
+    end
+
+  let protect_descs ctx (cl : R.cell I.cas_list) =
     let used = ref 0 in
-    let hold p =
-      if not (Ptr.is_null p) then begin
-        let idx = Ptr.index (Ptr.unmark p) in
-        acquire ctx idx;
-        ctx.owner_held.(!used) <- idx;
-        incr used
-      end
-    in
-    Array.iter
-      (fun d ->
-        hold d.obj;
-        if d.expected_is_ptr then hold d.expected;
-        if d.new_is_ptr then hold d.new_value)
-      descs;
+    for i = 0 to cl.len - 1 do
+      let d = cl.descs.(i) in
+      used := hold ctx !used d.obj;
+      if d.expected_is_ptr then used := hold ctx !used d.expected;
+      if d.new_is_ptr then used := hold ctx !used d.new_value
+    done;
     ctx.owner_used <- !used
 
   let clear_descs ctx =

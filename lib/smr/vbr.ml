@@ -42,15 +42,6 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
   module VP = Oa_core.Versioned_pool.Make (R)
   module I = Oa_core.Smr_intf
 
-  type desc = {
-    obj : Ptr.t;
-    target : R.cell;
-    expected : int;
-    new_value : int;
-    expected_is_ptr : bool;
-    new_is_ptr : bool;
-  }
-
   type ctx = {
     mm : t;
     sver : R.cell;
@@ -186,13 +177,10 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
      catches it.  (A full masked cycle completing between two adjacent
      reads of the clock is not representable at the default width and is
      out of scope for the test widths' deterministic schedules.) *)
-  let refresh ctx =
-    let rec go () =
-      let g = R.read ctx.mm.gver land vmask () in
-      R.write ctx.sver g;
-      if R.read ctx.mm.gver land vmask () <> g then go ()
-    in
-    go ()
+  let rec refresh ctx =
+    let g = R.read ctx.mm.gver land vmask () in
+    R.write ctx.sver g;
+    if R.read ctx.mm.gver land vmask () <> g then refresh ctx
 
   let op_begin ctx = if not ctx.in_batch then refresh ctx
   let op_end _ = ()
@@ -264,7 +252,7 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
      Dekker pair with the reclaimer's bump/fence/scan guarantees that a
      confirmed CAS has its operands in every later scan's hazard table,
      so the targeted memory cannot be recycled under the CAS. *)
-  let cas ctx d =
+  let cas ctx (d : R.cell I.desc) =
     let t0 = I.prof_enter ctx.prof Oa_obs.Phase.Hazard_publish in
     R.write ctx.hps.(0) (Ptr.unmark d.obj);
     if d.expected_is_ptr && not (Ptr.is_null d.expected) then
@@ -288,43 +276,50 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
     clear_write_hps ctx;
     res
 
+  (* One CAS-list operand into owner slot [base + used] unless already
+     held there; the duplicate scan reads every filled slot (OA's
+     [protect_owner]).  Returns the new slot count. *)
+  let protect_owner ctx base used p =
+    if Ptr.is_null p then used
+    else begin
+      let u = Ptr.unmark p in
+      let dup = ref false in
+      for j = 0 to used - 1 do
+        if R.read ctx.hps.(base + j) = u then dup := true
+      done;
+      if !dup then used
+      else begin
+        R.write ctx.hps.(base + used) u;
+        used + 1
+      end
+    end
+
   (* Protect the CAS list from the end of the generator to the end of
      the wrap-up (OA's Algorithm 3 with the version re-check).  Duplicate
      objects are protected once; an empty list needs no fence and no
      check. *)
-  let protect_descs ctx descs =
-    if Array.length descs > 0 then begin
+  let protect_descs ctx (cl : R.cell I.cas_list) =
+    if cl.len > 0 then begin
       let t0 = I.prof_enter ctx.prof Oa_obs.Phase.Hazard_publish in
       let base = ctx.mm.cfg.I.hp_slots in
       let used = ref 0 in
-      let protect p =
-        if not (Ptr.is_null p) then begin
-          let u = Ptr.unmark p in
-          let dup = ref false in
-          for j = 0 to !used - 1 do
-            if R.read ctx.hps.(base + j) = u then dup := true
-          done;
-          if not !dup then begin
-            R.write ctx.hps.(base + !used) u;
-            incr used
-          end
-        end
-      in
-      Array.iter
-        (fun d ->
-          protect d.obj;
-          if d.expected_is_ptr then protect d.expected;
-          if d.new_is_ptr then protect d.new_value)
-        descs;
-      ctx.owner_used <- !used;
-      if !used > 0 then begin
+      for i = 0 to cl.len - 1 do
+        let d = cl.descs.(i) in
+        used := protect_owner ctx base !used d.obj;
+        if d.expected_is_ptr then
+          used := protect_owner ctx base !used d.expected;
+        if d.new_is_ptr then used := protect_owner ctx base !used d.new_value
+      done;
+      let used = !used in
+      ctx.owner_used <- used;
+      if used > 0 then begin
         R.fence ();
         ctx.s_fences <- ctx.s_fences + 1;
         if not !unsafe_skip_validation then begin
           let g = R.read ctx.mm.gver land vmask () in
           if g <> R.read_own ctx.sver then begin
             R.write ctx.sver g;
-            for j = 0 to !used - 1 do
+            for j = 0 to used - 1 do
               R.write ctx.hps.(base + j) no_hp
             done;
             ctx.owner_used <- 0;

@@ -12,8 +12,9 @@
     All buckets share one node arena and one SMR instance.  A bucket head
     is not a node but a single word holding the chain's first pointer;
     the heads are packed eight to a cache line in one runtime node block
-    beside the arena, and bucket [b]'s head is word [b] of that block (on
-    the flat backend, word [base + b]). *)
+    beside the arena ({!Linked_list.Make.head_cell}), and bucket [b]'s
+    head is word [b] of that block (on the flat backend, word
+    [base + b]). *)
 
 module Ptr = Oa_mem.Ptr
 
@@ -33,13 +34,8 @@ module Make (S : Oa_core.Smr_intf.S) = struct
   module A = Oa_mem.Arena.Make (S.R)
   module L = Linked_list.Make (S)
 
-  type t = { list : L.t; heads : R.block; mask : int }
+  type t = { list : L.t; mask : int }
   type ctx = L.ctx
-
-  (* Bucket [b]'s head: word [b land 7] of head line [b lsr 3] — a
-     64-byte line holds eight words, and [bucket_count] is a power of two
-     >= 16, so the lines divide the buckets exactly. *)
-  let head_cell heads b = R.node_cell heads (b lsr 3) (b land 7)
 
   let create ?obs ?(elastic = false) ?chunk_nodes ~capacity ~expected_size cfg =
     let n_buckets = bucket_count ~expected_size in
@@ -48,12 +44,14 @@ module Make (S : Oa_core.Smr_intf.S) = struct
       else A.create ~capacity ~n_fields:L.n_fields
     in
     let smr = S.create ?obs arena cfg in
+    (* a 64-byte line holds eight heads, and [bucket_count] is a power of
+       two >= 16, so the lines divide the buckets exactly *)
     let heads = R.node_block ~nodes:(n_buckets / 8) ~fields:8 in
     for b = 0 to n_buckets - 1 do
-      R.write (head_cell heads b) Ptr.null
+      R.write (L.head_cell heads b) Ptr.null
     done;
-    let list = L.on_arena arena smr ~head:(head_cell heads 0) in
-    { list; heads; mask = n_buckets - 1 }
+    let list = L.on_arena arena smr ~heads in
+    { list; mask = n_buckets - 1 }
 
   let register t = L.register t.list
   let quiesce (ctx : ctx) = L.quiesce ctx
@@ -73,12 +71,12 @@ module Make (S : Oa_core.Smr_intf.S) = struct
 
   (* Fibonacci hashing: spreads consecutive keys across buckets. *)
   let bucket_index t key = (key * 0x2545F4914F6CDD1D) lsr 13 land t.mask
-  let bucket_head t b = head_cell t.heads b
+  let bucket_head t b = L.bucket_head t.list b
   let bucket t key = bucket_head t (bucket_index t key)
 
-  let contains t ctx key = L.contains_at ctx ~head:(bucket t key) key
-  let insert t ctx key = L.insert_at ctx ~head:(bucket t key) key
-  let delete t ctx key = L.delete_at ctx ~head:(bucket t key) key
+  let contains t ctx key = L.contains_in ctx ~bucket:(bucket_index t key) key
+  let insert t ctx key = L.insert_in ctx ~bucket:(bucket_index t key) key
+  let delete t ctx key = L.delete_in ctx ~bucket:(bucket_index t key) key
 
   (* --- Batched execution --- *)
 

@@ -10,10 +10,15 @@
     "key absent" and a failed CAS as "restart from the generator", exactly
     as in Listing 1.
 
-    The list is also the building block of {!Hash_table}: every operation
-    takes the list head explicitly.  A head is a bare word holding the
-    first pointer — not a sentinel node — so a table packs eight bucket
-    heads to a cache line; a standalone list's head is a one-node block. *)
+    The list is also the building block of {!Hash_table}: the [_in]
+    operations take the bucket whose chain they run on.  A head is a bare
+    word holding the first pointer — not a sentinel node — so a table
+    packs eight bucket heads to a cache line; a standalone list has one
+    head, bucket 0.
+
+    Operations allocate nothing on the OCaml heap: they run on the
+    {!Oa_core.Normalized} driver with their descriptors and search
+    position in preallocated buffers of the per-thread context. *)
 
 module Ptr = Oa_mem.Ptr
 
@@ -26,22 +31,55 @@ module Make (S : Oa_core.Smr_intf.S) = struct
   let f_next = 1
   let n_fields = 2
 
-  type t = { arena : A.t; smr : S.t; head : R.cell }
-  type ctx = { t : t; sctx : S.ctx }
+  type t = { arena : A.t; smr : S.t; heads : R.block }
+
+  (* The per-thread context doubles as the operation's working state: the
+     CAS-list buffer and a scratch descriptor for the search's unlink CAS
+     are allocated once here and refilled in place, and the search writes
+     the position it found into mutable immediate fields, so an operation
+     allocates nothing.  The scratch descriptor is separate from the CAS
+     list: an unlink inside a generator re-run must not overwrite a slot
+     the previous run already filled. *)
+  type ctx = {
+    t : t;
+    sctx : S.ctx;
+    cas : N.cas_list;  (* at most one descriptor *)
+    unlink : N.desc;
+    mutable bucket : int;  (* head of the running operation's chain *)
+    (* Position found by [search]: [cur] is the first unmarked node with
+       key >= the searched key (null at the tail), [prev] its
+       predecessor (null while [cur] hangs off the head, protected when
+       non-null), [next] the raw value of cur.next, unmarked by the break
+       condition. *)
+    mutable prev : Ptr.t;
+    mutable cur : Ptr.t;
+    mutable cur_key : int;  (* meaningless when [cur] is null *)
+    mutable next : int;
+    mutable node : Ptr.t;
+        (* [insert]'s node, allocated once and reused across generator
+           restarts; null between operations *)
+  }
 
   let key_cell t p = A.field t.arena p f_key
   let next_cell t p = A.field t.arena p f_next
+
+  (* Bucket [b]'s head: word [b land 7] of head line [b lsr 3] of the
+     [heads] block — a bucket head is a bare word holding the chain's
+     first pointer, eight to a 64-byte line.  A standalone list has one
+     head, bucket 0. *)
+  let head_cell heads b = R.node_cell heads (b lsr 3) (b land 7)
 
   (** Successor function for the Anchors scheme's protection walk: a raw
       arena read, safe even on recycled nodes. *)
   let successor_of arena p = Ptr.unmark (R.read (A.field arena p f_next))
 
   (** Build a list on a caller-provided arena and SMR instance, with its
-      first pointer in [head], which the caller has set to {!Ptr.null};
-      used by {!Hash_table} to share one arena across buckets. *)
-  let on_arena arena smr ~head =
+      chains' first pointers in the words of [heads] (see [head_cell]),
+      which the caller has set to {!Ptr.null}; used by {!Hash_table} to
+      share one arena across buckets. *)
+  let on_arena arena smr ~heads =
     S.set_successor smr (successor_of arena);
-    { arena; smr; head }
+    { arena; smr; heads }
 
   let create ?obs ?(elastic = false) ?chunk_nodes ~capacity cfg =
     let arena =
@@ -49,170 +87,161 @@ module Make (S : Oa_core.Smr_intf.S) = struct
       else A.create ~capacity ~n_fields
     in
     let smr = S.create ?obs arena cfg in
-    let head = R.node_cell (R.node_block ~nodes:1 ~fields:1) 0 0 in
-    R.write head Ptr.null;
-    on_arena arena smr ~head
+    let heads = R.node_block ~nodes:1 ~fields:1 in
+    R.write (head_cell heads 0) Ptr.null;
+    on_arena arena smr ~heads
 
-  let register t = { t; sctx = S.register t.smr }
+  let register t =
+    let head = head_cell t.heads 0 in
+    {
+      t;
+      sctx = S.register t.smr;
+      cas = N.cas_list ~capacity:1 head;
+      unlink = N.desc head;
+      bucket = 0;
+      prev = Ptr.null;
+      cur = Ptr.null;
+      cur_key = 0;
+      next = Ptr.null;
+      node = Ptr.null;
+    }
+
   let quiesce ctx = S.quiesce ctx.sctx
   let smr t = t.smr
   let arena t = t.arena
-  let head t = t.head
+  let bucket_head t b = head_cell t.heads b
+  let head t = bucket_head t 0
 
   let successor t p = successor_of t.arena p
 
-  (* Result of the search loop of the generator: the position where [key]
-     belongs.  [prev_next] is the cell holding [cur] — [prev]'s next
-     field, or the list head while [prev] is null; [prev] is protected
-     when non-null.  [cur] is the first unmarked node with key >= [key]
-     (or null), [next] is [cur]'s unmarked successor value as read. *)
-  type position = {
-    prev : Ptr.t;  (* null while [cur] hangs off the head *)
-    prev_next : R.cell;
-    cur : Ptr.t;  (* unmarked; null when the tail was reached *)
-    cur_key : int;  (* meaningless when [cur] is null *)
-    next : int;  (* raw value of cur.next, unmarked by the break condition *)
-  }
-
   (* The search of Listing 1 / Listing 5, with hazard-slot rotation for
      HP-style schemes: slots [s_prev], [s_cur], [s_next] rotate through
-     the roles prev / cur / next.  Physical deletes of marked nodes happen
-     here (restartable), followed by the proper [retire].  An unlink at
-     the head has a null [obj]: the head is not a node, so no scheme
-     protects it (every [protect]/[hold] skips null, every scan ignores
-     negative hazard values). *)
-  let search ctx ~head key =
-    let t = ctx.t and sctx = ctx.sctx in
-    let rec start () =
-      step ~s_prev:1 ~s_cur:0 ~s_next:2 Ptr.null head
-        (S.read_ptr sctx ~hp:0 head)
-    and step ~s_prev ~s_cur ~s_next prev prev_next cur =
-      if Ptr.is_null cur then
-        { prev; prev_next; cur = Ptr.null; cur_key = 0; next = Ptr.null }
-      else begin
-        let curp = Ptr.unmark cur in
-        let cur_next = next_cell t curp in
-        (* The three reads are independent; the barrier of the last one
-           (read_ptr's check) covers all of them — the paper's batched
-           reads optimization, one check per node as in Listing 5. *)
-        let cur_key = S.read_data sctx (key_cell t curp) in
-        let tmp = S.read_data sctx prev_next in
-        let next = S.read_ptr sctx ~hp:s_next cur_next in
-        if tmp <> cur then start ()
-        else if not (Ptr.is_marked next) then
-          if cur_key >= key then { prev; prev_next; cur = curp; cur_key; next }
-          else
-            (* advance: prev <- cur <- next *)
-            step ~s_prev:s_cur ~s_cur:s_next ~s_next:s_prev curp cur_next next
-        else begin
-          (* [curp] is logically deleted: physically unlink it. *)
-          let unmarked_next = Ptr.unmark next in
-          let ok =
-            S.cas sctx
-              {
-                S.obj = prev;
-                target = prev_next;
-                expected = cur;
-                new_value = unmarked_next;
-                expected_is_ptr = true;
-                new_is_ptr = true;
-              }
-          in
-          if ok then begin
-            S.retire sctx curp;
-            (* prev keeps its slot; the value read into s_next becomes
-               cur, freeing the old cur slot. *)
-            step ~s_prev ~s_cur:s_next ~s_next:s_cur prev prev_next
-              unmarked_next
-          end
-          else start ()
+     the roles prev / cur / next, and [prev_next] is the cell holding
+     [cur] — [prev]'s next field, or the chain's head while [prev] is
+     null.  Physical deletes of marked nodes happen here (restartable),
+     followed by the proper [retire].  An unlink at the head has a null
+     [obj]: the head is not a node, so no scheme protects it (every
+     [protect]/[hold] skips null, every scan ignores negative hazard
+     values).  Writes the position into [c] and returns its [prev_next]
+     cell — a cell in a mutable field would cost a write barrier per
+     search, and only [insert] needs it. *)
+  let rec search_from c head key s_prev s_cur s_next prev prev_next cur =
+    if Ptr.is_null cur then begin
+      c.prev <- prev;
+      c.cur <- Ptr.null;
+      c.cur_key <- 0;
+      c.next <- Ptr.null;
+      prev_next
+    end
+    else begin
+      let t = c.t and sctx = c.sctx in
+      let curp = Ptr.unmark cur in
+      let cur_next = next_cell t curp in
+      (* The three reads are independent; the barrier of the last one
+         (read_ptr's check) covers all of them — the paper's batched
+         reads optimization, one check per node as in Listing 5. *)
+      let cur_key = S.read_data sctx (key_cell t curp) in
+      let tmp = S.read_data sctx prev_next in
+      let next = S.read_ptr sctx ~hp:s_next cur_next in
+      if tmp <> cur then search c head key
+      else if not (Ptr.is_marked next) then
+        if cur_key >= key then begin
+          c.prev <- prev;
+          c.cur <- curp;
+          c.cur_key <- cur_key;
+          c.next <- next;
+          prev_next
         end
-      end
-    in
-    start ()
-
-  let no_descs : S.desc array = [||]
-
-  (** [contains ctx key] — wait-free in the original algorithm; a pure
-      generator with an empty CAS list here. *)
-  let contains_at ctx ~head key =
-    let generator () =
-      let pos = search ctx ~head key in
-      (no_descs, (not (Ptr.is_null pos.cur)) && pos.cur_key = key)
-    in
-    let wrap_up ~descs:_ ~failed:_ found = N.Finish found in
-    N.run_op ctx.sctx ~generator ~wrap_up
-
-  (** [insert ctx key] adds [key]; false if already present.  The node is
-      allocated once and reused across generator restarts; if the key turns
-      out to be present the node returns to the allocator. *)
-  let insert_at ctx ~head key =
-    let t = ctx.t and sctx = ctx.sctx in
-    let node = ref Ptr.null in
-    let generator () =
-      let pos = search ctx ~head key in
-      if (not (Ptr.is_null pos.cur)) && pos.cur_key = key then begin
-        if not (Ptr.is_null !node) then begin
-          S.dealloc sctx !node;
-          node := Ptr.null
-        end;
-        (no_descs, false)
-      end
+        else
+          (* advance: prev <- cur <- next *)
+          search_from c head key s_cur s_next s_prev curp cur_next next
       else begin
-        if Ptr.is_null !node then node := S.alloc sctx;
-        R.write (key_cell t !node) key;
-        R.write (next_cell t !node) pos.cur;
-        let d =
-          {
-            S.obj = pos.prev;
-            target = pos.prev_next;
-            expected = pos.cur;
-            new_value = !node;
-            expected_is_ptr = true;
-            new_is_ptr = true;
-          }
-        in
-        ([| d |], true)
+        (* [curp] is logically deleted: physically unlink it. *)
+        let unmarked_next = Ptr.unmark next in
+        N.set c.unlink ~obj:prev ~target:prev_next ~expected:cur
+          ~new_value:unmarked_next;
+        if S.cas sctx c.unlink then begin
+          S.retire sctx curp;
+          (* prev keeps its slot; the value read into s_next becomes
+             cur, freeing the old cur slot. *)
+          search_from c head key s_prev s_next s_cur prev prev_next
+            unmarked_next
+        end
+        else search c head key
       end
-    in
-    let wrap_up ~descs:_ ~failed attempted =
-      if not attempted then N.Finish false
-      else if failed = N.none_failed then N.Finish true
-      else N.Restart_generator
-    in
-    N.run_op sctx ~generator ~wrap_up
+    end
 
-  (** [delete ctx key] logically deletes the node holding [key] by marking
-      its [next] field (Listing 1); physical unlinking is left to later
+  and search c head key =
+    search_from c head key 1 0 2 Ptr.null head (S.read_ptr c.sctx ~hp:0 head)
+
+  let found c key = (not (Ptr.is_null c.cur)) && c.cur_key = key
+  let result b = if b then 1 else 0
+
+  (* [contains] — wait-free in the original algorithm; a pure generator
+     with an empty CAS list here. *)
+  let contains_gen c key = ignore (search c (head_cell c.t.heads c.bucket) key)
+  let contains_wrap c key _failed = result (found c key)
+
+  (* [insert]: if the key turns out to be present the cached node returns
+     to the allocator. *)
+  let insert_gen c key =
+    let t = c.t in
+    let prev_next = search c (head_cell t.heads c.bucket) key in
+    if found c key then begin
+      if not (Ptr.is_null c.node) then begin
+        S.dealloc c.sctx c.node;
+        c.node <- Ptr.null
+      end
+    end
+    else begin
+      if Ptr.is_null c.node then c.node <- S.alloc c.sctx;
+      R.write (key_cell t c.node) key;
+      R.write (next_cell t c.node) c.cur;
+      N.push c.cas ~obj:c.prev ~target:prev_next ~expected:c.cur
+        ~new_value:c.node
+    end
+
+  (* An empty CAS list means "key present"; a failed link restarts. *)
+  let insert_wrap c _key failed =
+    if c.cas.len = 0 then 0
+    else if failed = N.none_failed then begin
+      c.node <- Ptr.null;
+      1
+    end
+    else N.restart_generator
+
+  (* [delete]: one CAS marking the victim's next field (Listing 1). *)
+  let delete_gen c key =
+    ignore (search c (head_cell c.t.heads c.bucket) key);
+    if found c key then
+      N.push c.cas ~obj:c.cur ~target:(next_cell c.t c.cur) ~expected:c.next
+        ~new_value:(Ptr.mark c.next)
+
+  let delete_wrap c _key failed =
+    if c.cas.len = 0 then 0
+    else if failed = N.none_failed then 1
+    else N.restart_generator
+
+  let run c ~bucket gen wrap key =
+    c.bucket <- bucket;
+    N.run c.sctx c.cas gen wrap c key = 1
+
+  (** [contains_in ctx ~bucket key] etc. run the operation on the chain
+      headed by bucket [bucket] (see [on_arena]). *)
+  let contains_in c ~bucket key = run c ~bucket contains_gen contains_wrap key
+
+  (** [insert] adds [key]; false if already present.  The node is
+      allocated once and reused across generator restarts. *)
+  let insert_in c ~bucket key = run c ~bucket insert_gen insert_wrap key
+
+  (** [delete] logically deletes the node holding [key] by marking its
+      [next] field (Listing 1); physical unlinking is left to later
       traversals.  False if the key is absent. *)
-  let delete_at ctx ~head key =
-    let t = ctx.t in
-    let generator () =
-      let pos = search ctx ~head key in
-      if Ptr.is_null pos.cur || pos.cur_key <> key then (no_descs, ())
-      else
-        let d =
-          {
-            S.obj = pos.cur;
-            target = next_cell t pos.cur;
-            expected = pos.next;
-            new_value = Ptr.mark pos.next;
-            expected_is_ptr = true;
-            new_is_ptr = true;
-          }
-        in
-        ([| d |], ())
-    in
-    let wrap_up ~descs ~failed () =
-      if Array.length descs = 0 then N.Finish false
-      else if failed = N.none_failed then N.Finish true
-      else N.Restart_generator
-    in
-    N.run_op ctx.sctx ~generator ~wrap_up
+  let delete_in c ~bucket key = run c ~bucket delete_gen delete_wrap key
 
-  let contains ctx key = contains_at ctx ~head:ctx.t.head key
-  let insert ctx key = insert_at ctx ~head:ctx.t.head key
-  let delete ctx key = delete_at ctx ~head:ctx.t.head key
+  let contains ctx key = contains_in ctx ~bucket:0 key
+  let insert ctx key = insert_in ctx ~bucket:0 key
+  let delete ctx key = delete_in ctx ~bucket:0 key
 
   (* Batched execution through the scheme's amortised path (see
      Smr_intf.run_batch); each thunk must be a complete operation on this
@@ -236,7 +265,7 @@ module Make (S : Oa_core.Smr_intf.S) = struct
     in
     go [] (R.read head)
 
-  let to_list t = to_list_from t ~head:t.head
+  let to_list t = to_list_from t ~head:(head t)
 
   (** Check structural invariants from [head]: strictly increasing keys
       over unmarked nodes and termination within [limit] hops. *)
@@ -255,5 +284,5 @@ module Make (S : Oa_core.Smr_intf.S) = struct
     in
     go min_int (R.read head) 0
 
-  let validate t ~limit = validate_from t ~head:t.head ~limit
+  let validate t ~limit = validate_from t ~head:(head t) ~limit
 end

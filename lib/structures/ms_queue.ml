@@ -29,7 +29,21 @@ module Make (S : Oa_core.Smr_intf.S) = struct
   let n_fields = 2
 
   type t = { arena : A.t; smr : S.t; head : R.cell; tail : R.cell }
-  type ctx = { t : t; sctx : S.ctx }
+
+  (* Per-thread context and operation state, preallocated and refilled in
+     place: the CAS-list buffer, a scratch descriptor for the helping
+     tail swings (never a CAS-list slot), the enqueued node cached across
+     generator restarts, and the value and old dummy a dequeue generator
+     leaves for its wrap-up. *)
+  type ctx = {
+    t : t;
+    sctx : S.ctx;
+    cas : N.cas_list;
+    scratch : N.desc;
+    mutable node : Ptr.t;  (* null between operations *)
+    mutable value : int;
+    mutable old_head : Ptr.t;
+  }
 
   let value_cell t p = A.field t.arena p f_value
   let next_cell t p = A.field t.arena p f_next
@@ -48,121 +62,95 @@ module Make (S : Oa_core.Smr_intf.S) = struct
         R.write (A.field arena dummy f_next) Ptr.null;
         { arena; smr; head = R.cell dummy; tail = R.cell dummy }
 
-  let register t = { t; sctx = S.register t.smr }
+  let register t =
+    {
+      t;
+      sctx = S.register t.smr;
+      cas = N.cas_list ~capacity:2 t.tail;
+      scratch = N.desc t.tail;
+      node = Ptr.null;
+      value = 0;
+      old_head = Ptr.null;
+    }
+
   let smr t = t.smr
 
-  let no_descs : S.desc array = [||]
+  (* Help a lagging tail forward (restartable auxiliary CAS). *)
+  let swing_tail ctx ~tail ~next =
+    N.set ctx.scratch ~obj:Ptr.null ~target:ctx.t.tail ~expected:tail
+      ~new_value:(Ptr.unmark next);
+    ignore (S.cas ctx.sctx ctx.scratch)
+
+  let rec enqueue_position ctx =
+    let t = ctx.t and sctx = ctx.sctx in
+    let tail = S.read_ptr sctx ~hp:0 t.tail in
+    let next = S.read_ptr sctx ~hp:1 (next_cell t tail) in
+    if not (Ptr.is_null next) then begin
+      swing_tail ctx ~tail ~next;
+      enqueue_position ctx
+    end
+    else begin
+      N.push ctx.cas ~obj:tail ~target:(next_cell t tail) ~expected:Ptr.null
+        ~new_value:ctx.node;
+      N.push ctx.cas ~obj:Ptr.null ~target:t.tail ~expected:tail
+        ~new_value:ctx.node
+    end
+
+  let enqueue_gen ctx v =
+    let t = ctx.t in
+    if Ptr.is_null ctx.node then ctx.node <- S.alloc ctx.sctx;
+    R.write (value_cell t ctx.node) v;
+    R.write (next_cell t ctx.node) Ptr.null;
+    enqueue_position ctx
+
+  (* the operation took effect iff the link CAS (index 0) succeeded; a
+     failed tail swing (index 1) is repaired by helpers *)
+  let enqueue_wrap ctx _v failed =
+    if failed = 0 then N.restart_generator
+    else begin
+      ctx.node <- Ptr.null;
+      0
+    end
 
   (** [enqueue ctx v] appends [v]; always succeeds. *)
-  let enqueue ctx v =
+  let enqueue ctx v = ignore (N.run ctx.sctx ctx.cas enqueue_gen enqueue_wrap ctx v)
+
+  let rec dequeue_gen ctx _ =
     let t = ctx.t and sctx = ctx.sctx in
-    let node = ref Ptr.null in
-    let generator () =
-      if Ptr.is_null !node then node := S.alloc sctx;
-      R.write (value_cell t !node) v;
-      R.write (next_cell t !node) Ptr.null;
-      let rec position () =
-        let tail = S.read_ptr sctx ~hp:0 t.tail in
-        let next = S.read_ptr sctx ~hp:1 (next_cell t tail) in
-        if not (Ptr.is_null next) then begin
-          (* tail lags: help swing it (restartable auxiliary CAS) *)
-          ignore
-            (S.cas sctx
-               {
-                 S.obj = Ptr.null;
-                 target = t.tail;
-                 expected = tail;
-                 new_value = Ptr.unmark next;
-                 expected_is_ptr = true;
-                 new_is_ptr = true;
-               });
-          position ()
-        end
-        else
-          ( [|
-              {
-                S.obj = tail;
-                target = next_cell t tail;
-                expected = Ptr.null;
-                new_value = !node;
-                expected_is_ptr = true;
-                new_is_ptr = true;
-              };
-              {
-                S.obj = Ptr.null;
-                target = t.tail;
-                expected = tail;
-                new_value = !node;
-                expected_is_ptr = true;
-                new_is_ptr = true;
-              };
-            |],
-            () )
-      in
-      position ()
-    in
-    let wrap_up ~descs:_ ~failed () =
-      (* the operation took effect iff the link CAS (index 0) succeeded; a
-         failed tail swing (index 1) is repaired by helpers *)
-      if failed = 0 then N.Restart_generator else N.Finish ()
-    in
-    N.run_op sctx ~generator ~wrap_up
+    let head = S.read_ptr sctx ~hp:0 t.head in
+    let tail = S.read_data sctx t.tail in
+    let next = S.read_ptr sctx ~hp:1 (next_cell t head) in
+    if Ptr.is_null next then () (* empty: no CAS *)
+    else if Ptr.equal head tail then begin
+      (* tail lags behind a non-empty queue: help it forward *)
+      swing_tail ctx ~tail ~next;
+      dequeue_gen ctx 0
+    end
+    else begin
+      let v = S.read_data sctx (value_cell t (Ptr.unmark next)) in
+      S.check sctx;
+      N.push ctx.cas ~obj:Ptr.null ~target:t.head ~expected:head
+        ~new_value:next;
+      ctx.value <- v;
+      ctx.old_head <- head
+    end
+
+  let dequeue_wrap ctx _ failed =
+    if ctx.cas.len = 0 then 0
+    else if failed <> N.none_failed then N.restart_generator
+    else begin
+      (* the old dummy is now unreachable to new operations; retire it
+         before any barrier so a wrap-up restart cannot repeat it *)
+      S.retire ctx.sctx ctx.old_head;
+      1
+    end
 
   (** [dequeue ctx] removes and returns the oldest value, or [None] when
       the queue is empty.  The old dummy node is retired. *)
   let dequeue ctx =
-    let t = ctx.t and sctx = ctx.sctx in
-    let generator () =
-      let rec position () =
-        let head = S.read_ptr sctx ~hp:0 t.head in
-        let tail = S.read_data sctx t.tail in
-        let next = S.read_ptr sctx ~hp:1 (next_cell t head) in
-        if Ptr.is_null next then (no_descs, None)
-        else if Ptr.equal head tail then begin
-          (* tail lags behind a non-empty queue: help it forward *)
-          ignore
-            (S.cas sctx
-               {
-                 S.obj = Ptr.null;
-                 target = t.tail;
-                 expected = tail;
-                 new_value = Ptr.unmark next;
-                 expected_is_ptr = true;
-                 new_is_ptr = true;
-               });
-          position ()
-        end
-        else begin
-          let v = S.read_data sctx (value_cell t (Ptr.unmark next)) in
-          S.check sctx;
-          ( [|
-              {
-                S.obj = Ptr.null;
-                target = t.head;
-                expected = head;
-                new_value = next;
-                expected_is_ptr = true;
-                new_is_ptr = true;
-              };
-            |],
-            Some (v, head) )
-        end
-      in
-      position ()
-    in
-    let wrap_up ~descs:_ ~failed aux =
-      match aux with
-      | None -> N.Finish None
-      | Some (v, old_head) ->
-          if failed <> N.none_failed then N.Restart_generator
-          else begin
-            (* the old dummy is now unreachable to new operations; retire
-               it before any barrier so a wrap-up restart cannot repeat it *)
-            S.retire ctx.sctx old_head;
-            N.Finish (Some v)
-          end
-    in
-    N.run_op sctx ~generator ~wrap_up
+    if N.run ctx.sctx ctx.cas dequeue_gen dequeue_wrap ctx 0 = 1 then
+      Some ctx.value
+    else None
 
   (* --- Quiescent helpers --- *)
 

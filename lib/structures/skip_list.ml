@@ -47,14 +47,33 @@ module Make (S : Oa_core.Smr_intf.S) = struct
   let p_slot lvl = lvl
   let s_slot lvl = max_level + lvl
 
-  type t = { arena : A.t; smr : S.t; head : Ptr.t }
+  type t = {
+    arena : A.t;
+    smr : S.t;
+    head : Ptr.t;
+    head_next : R.cell;
+        (* the head's level-0 next field, computed once at creation: a
+           cell to initialise descriptor buffers with *)
+  }
 
+  (* Per-thread context and operation state: the CAS-list buffer, a
+     scratch descriptor for in-generator and wrap-up CASes (never a
+     CAS-list slot, so an unlink cannot overwrite a filled entry), the
+     [find] results and the auxiliary values a generator leaves for its
+     wrap-up — all preallocated and refilled in place. *)
   type ctx = {
     t : t;
     sctx : S.ctx;
     rng : Oa_util.Splitmix.t;
     preds : Ptr.t array;
     succs : Ptr.t array;
+    cas : N.cas_list;
+    scratch : N.desc;
+    mutable found : bool;  (* [contains]'s answer *)
+    mutable node : Ptr.t;
+        (* [insert]'s node, allocated once and reused across generator
+           restarts; null between operations *)
+    mutable node_level : int;
   }
 
   let key_cell t p = A.field t.arena p f_key
@@ -69,19 +88,18 @@ module Make (S : Oa_core.Smr_intf.S) = struct
     in
     let smr = S.create ?obs arena cfg in
     S.set_successor smr (fun p -> Ptr.unmark (R.read (A.field arena p f_next)));
-    let head =
-      match A.bump_range arena 1 with
-      | None -> raise Oa_core.Smr_intf.Arena_exhausted
-      | Some idx ->
-          let p = Ptr.of_index idx in
-          R.write (A.field arena p f_key) min_int;
-          R.write (A.field arena p f_level) max_level;
-          for lvl = 0 to max_level - 1 do
-            R.write (A.field arena p (f_next + lvl)) Ptr.null
-          done;
-          p
-    in
-    { arena; smr; head }
+    match A.bump_range arena 1 with
+    | None -> raise Oa_core.Smr_intf.Arena_exhausted
+    | Some idx ->
+        let head = Ptr.of_index idx in
+        R.write (A.field arena head f_key) min_int;
+        R.write (A.field arena head f_level) max_level;
+        let head_next = A.field arena head f_next in
+        R.write head_next Ptr.null;
+        for lvl = 1 to max_level - 1 do
+          R.write (A.field arena head (f_next + lvl)) Ptr.null
+        done;
+        { arena; smr; head; head_next }
 
   let register ?(seed = 1) t =
     {
@@ -90,18 +108,22 @@ module Make (S : Oa_core.Smr_intf.S) = struct
       rng = Oa_util.Splitmix.create (seed lor 1);
       preds = Array.make max_level Ptr.null;
       succs = Array.make max_level Ptr.null;
+      cas = N.cas_list ~capacity:max_cas_needed t.head_next;
+      scratch = N.desc t.head_next;
+      found = false;
+      node = Ptr.null;
+      node_level = 0;
     }
 
   let smr t = t.smr
   let head t = t.head
 
   (* Geometric level distribution, p = 1/2, in [1, max_level]. *)
-  let random_level ctx =
-    let bits = Oa_util.Splitmix.next ctx.rng in
-    let rec count lvl b =
-      if lvl >= max_level || b land 1 = 0 then lvl else count (lvl + 1) (b lsr 1)
-    in
-    count 1 bits
+  let rec count_level lvl b =
+    if lvl >= max_level || b land 1 = 0 then lvl
+    else count_level (lvl + 1) (b lsr 1)
+
+  let random_level ctx = count_level 1 (Oa_util.Splitmix.next ctx.rng)
 
   (* A successful unlink of [node] at some level bumps its counter; the
      unlink that completes the count makes the node unreachable from every
@@ -115,281 +137,206 @@ module Make (S : Oa_core.Smr_intf.S) = struct
   (* The find helper: fills [ctx.preds] and [ctx.succs] for [key] at every
      level, physically unlinking marked nodes on the way (restartable
      auxiliary CASes), and returns whether an unmarked node with [key] sits
-     at the bottom level. *)
-  let find ctx key =
-    let t = ctx.t and sctx = ctx.sctx in
-    let rec start () =
-      let s_cur = ref s_rot0 and s_next = ref (s_rot0 + 1) in
-      let pred = ref t.head in
-      let found = ref false in
-      let rec level lvl =
-        if lvl < 0 then !found
-        else begin
-          let cur = ref (S.read_ptr sctx ~hp:!s_cur (next_cell t !pred lvl)) in
-          if Ptr.is_marked !cur then start ()
-          else begin
-            let rec walk () =
-              if Ptr.is_null !cur then begin
-                S.protect_move sctx ~hp:(p_slot lvl) !pred;
-                ctx.preds.(lvl) <- !pred;
-                ctx.succs.(lvl) <- Ptr.null;
-                if lvl = 0 then found := false;
-                level (lvl - 1)
-              end
-              else begin
-                let curp = Ptr.unmark !cur in
-                (* key and succ are independent reads; read_ptr's check
-                   covers both (batched-reads optimization). *)
-                let ckey = S.read_data sctx (key_cell t curp) in
-                let succ = S.read_ptr sctx ~hp:!s_next (next_cell t curp lvl) in
-                if Ptr.is_marked succ then begin
-                  (* snip the deleted [curp] out of this level *)
-                  let unmarked = Ptr.unmark succ in
-                  let ok =
-                    S.cas sctx
-                      {
-                        S.obj = !pred;
-                        target = next_cell t !pred lvl;
-                        expected = !cur;
-                        new_value = unmarked;
-                        expected_is_ptr = true;
-                        new_is_ptr = true;
-                      }
-                  in
-                  if not ok then start ()
-                  else begin
-                    note_unlink ctx curp;
-                    let freed = !s_cur in
-                    s_cur := !s_next;
-                    s_next := freed;
-                    cur := unmarked;
-                    walk ()
-                  end
-                end
-                else if ckey < key then begin
-                  S.protect_move sctx ~hp:(p_slot lvl) curp;
-                  pred := curp;
-                  let freed = !s_cur in
-                  s_cur := !s_next;
-                  s_next := freed;
-                  cur := succ;
-                  walk ()
-                end
-                else begin
-                  S.protect_move sctx ~hp:(p_slot lvl) !pred;
-                  S.protect_move sctx ~hp:(s_slot lvl) curp;
-                  ctx.preds.(lvl) <- !pred;
-                  ctx.succs.(lvl) <- curp;
-                  if lvl = 0 then found := ckey = key;
-                  level (lvl - 1)
-                end
-              end
-            in
-            walk ()
-          end
-        end
-      in
-      level (max_level - 1)
-    in
-    start ()
+     at the bottom level.  [pred] descends from the head; [s_cur]/[s_next]
+     are the two rotating traversal slots, carried across levels. *)
+  let rec find ctx key =
+    find_level ctx key (max_level - 1) s_rot0 (s_rot0 + 1) ctx.t.head
 
-  let no_descs : S.desc array = [||]
+  and find_level ctx key lvl s_cur s_next pred =
+    let cur = S.read_ptr ctx.sctx ~hp:s_cur (next_cell ctx.t pred lvl) in
+    if Ptr.is_marked cur then find ctx key
+    else find_walk ctx key lvl s_cur s_next pred cur
+
+  and find_walk ctx key lvl s_cur s_next pred cur =
+    let t = ctx.t and sctx = ctx.sctx in
+    if Ptr.is_null cur then begin
+      S.protect_move sctx ~hp:(p_slot lvl) pred;
+      ctx.preds.(lvl) <- pred;
+      ctx.succs.(lvl) <- Ptr.null;
+      if lvl = 0 then false
+      else find_level ctx key (lvl - 1) s_cur s_next pred
+    end
+    else begin
+      let curp = Ptr.unmark cur in
+      (* key and succ are independent reads; read_ptr's check covers
+         both (batched-reads optimization). *)
+      let ckey = S.read_data sctx (key_cell t curp) in
+      let succ = S.read_ptr sctx ~hp:s_next (next_cell t curp lvl) in
+      if Ptr.is_marked succ then begin
+        (* snip the deleted [curp] out of this level *)
+        let unmarked = Ptr.unmark succ in
+        N.set ctx.scratch ~obj:pred ~target:(next_cell t pred lvl)
+          ~expected:cur ~new_value:unmarked;
+        if not (S.cas sctx ctx.scratch) then find ctx key
+        else begin
+          note_unlink ctx curp;
+          find_walk ctx key lvl s_next s_cur pred unmarked
+        end
+      end
+      else if ckey < key then begin
+        S.protect_move sctx ~hp:(p_slot lvl) curp;
+        find_walk ctx key lvl s_next s_cur curp succ
+      end
+      else begin
+        S.protect_move sctx ~hp:(p_slot lvl) pred;
+        S.protect_move sctx ~hp:(s_slot lvl) curp;
+        ctx.preds.(lvl) <- pred;
+        ctx.succs.(lvl) <- curp;
+        if lvl = 0 then ckey = key
+        else find_level ctx key (lvl - 1) s_cur s_next pred
+      end
+    end
+
+  let result b = if b then 1 else 0
+
+  (* [contains]: a CAS-free descent that skips marked nodes; [found] is
+     the verdict of the lowest level that stopped at a node so far. *)
+  let rec contains_level ctx key lvl s_cur s_next pred found =
+    if lvl < 0 then found
+    else
+      contains_walk ctx key lvl s_cur s_next pred found
+        (S.read_ptr ctx.sctx ~hp:s_cur (next_cell ctx.t pred lvl))
+
+  and contains_walk ctx key lvl s_cur s_next pred found cur =
+    if Ptr.is_null cur then contains_level ctx key (lvl - 1) s_cur s_next pred found
+    else begin
+      let t = ctx.t and sctx = ctx.sctx in
+      let curp = Ptr.unmark cur in
+      (* independent reads; read_ptr's check covers both *)
+      let ckey = S.read_data sctx (key_cell t curp) in
+      let succ = S.read_ptr sctx ~hp:s_next (next_cell t curp lvl) in
+      if Ptr.is_marked succ then
+        (* skip the logically deleted node without unlinking *)
+        contains_walk ctx key lvl s_next s_cur pred found (Ptr.unmark succ)
+      else if ckey < key then begin
+        S.protect_move sctx ~hp:(p_slot lvl) curp;
+        contains_walk ctx key lvl s_next s_cur curp found succ
+      end
+      else contains_level ctx key (lvl - 1) s_cur s_next pred (ckey = key)
+    end
+
+  let contains_gen ctx key =
+    ctx.found <-
+      contains_level ctx key (max_level - 1) s_rot0 (s_rot0 + 1) ctx.t.head
+      false
+
+  let contains_wrap ctx _key _failed = result ctx.found
 
   (** [contains ctx key]: a CAS-free descent that skips marked nodes. *)
-  let contains ctx key =
-    let t = ctx.t and sctx = ctx.sctx in
-    let generator () =
-      let s_cur = ref s_rot0 and s_next = ref (s_rot0 + 1) in
-      let pred = ref t.head in
-      let rec level lvl found =
-        if lvl < 0 then (no_descs, found)
-        else begin
-          let cur = ref (S.read_ptr sctx ~hp:!s_cur (next_cell t !pred lvl)) in
-          let rec walk found =
-            if Ptr.is_null !cur then level (lvl - 1) found
-            else begin
-              let curp = Ptr.unmark !cur in
-              (* independent reads; read_ptr's check covers both *)
-              let ckey = S.read_data sctx (key_cell t curp) in
-              let succ = S.read_ptr sctx ~hp:!s_next (next_cell t curp lvl) in
-              if Ptr.is_marked succ then begin
-                (* skip the logically deleted node without unlinking *)
-                let freed = !s_cur in
-                s_cur := !s_next;
-                s_next := freed;
-                cur := Ptr.unmark succ;
-                walk found
-              end
-              else if ckey < key then begin
-                S.protect_move sctx ~hp:(p_slot lvl) curp;
-                pred := curp;
-                let freed = !s_cur in
-                s_cur := !s_next;
-                s_next := freed;
-                cur := succ;
-                walk found
-              end
-              else level (lvl - 1) (ckey = key)
-            end
-          in
-          walk found
-        end
-      in
-      level (max_level - 1) false
-    in
-    let wrap_up ~descs:_ ~failed:_ found = N.Finish found in
-    N.run_op sctx ~generator ~wrap_up
+  let contains ctx key = N.run ctx.sctx ctx.cas contains_gen contains_wrap ctx key = 1
 
-  (* Link the upper levels of a freshly inserted node; runs in the wrap-up
-     and is restartable: every iteration re-finds the position and every
-     modification is a protected CAS whose failure just retries. *)
-  let link_upper ctx node level key =
-    let t = ctx.t and sctx = ctx.sctx in
-    let rec link lvl =
-      if lvl < level then begin
-        ignore (find ctx key);
-        if Ptr.equal ctx.succs.(lvl) node then link (lvl + 1)
+  (* Link the upper levels [lvl .. level-1] of a freshly inserted node;
+     runs in the wrap-up and is restartable: every iteration re-finds the
+     position and every modification is a protected CAS whose failure
+     just retries. *)
+  let rec link_upper ctx node level key lvl =
+    if lvl < level then begin
+      let t = ctx.t and sctx = ctx.sctx in
+      ignore (find ctx key);
+      if Ptr.equal ctx.succs.(lvl) node then link_upper ctx node level key (lvl + 1)
+      else begin
+        let c = S.read_ptr sctx ~hp:(s_rot0 + 2) (next_cell t node lvl) in
+        if Ptr.is_marked c then () (* node was deleted: stop linking *)
         else begin
-          let c = S.read_ptr sctx ~hp:(s_rot0 + 2) (next_cell t node lvl) in
-          if Ptr.is_marked c then () (* node was deleted: stop linking *)
+          let target_succ = ctx.succs.(lvl) in
+          let retry =
+            c <> target_succ
+            && begin
+                 N.set ctx.scratch ~obj:node ~target:(next_cell t node lvl)
+                   ~expected:c ~new_value:target_succ;
+                 not (S.cas sctx ctx.scratch)
+               end
+          in
+          if retry then link_upper ctx node level key lvl
           else begin
-            let target_succ = ctx.succs.(lvl) in
-            let retry = ref false in
-            if c <> target_succ then begin
-              let ok =
-                S.cas sctx
-                  {
-                    S.obj = node;
-                    target = next_cell t node lvl;
-                    expected = c;
-                    new_value = target_succ;
-                    expected_is_ptr = true;
-                    new_is_ptr = true;
-                  }
-              in
-              if not ok then retry := true
-            end;
-            if !retry then link lvl
-            else begin
-              let ok =
-                S.cas sctx
-                  {
-                    S.obj = ctx.preds.(lvl);
-                    target = next_cell t ctx.preds.(lvl) lvl;
-                    expected = target_succ;
-                    new_value = node;
-                    expected_is_ptr = true;
-                    new_is_ptr = true;
-                  }
-              in
-              if ok then link (lvl + 1) else link lvl
-            end
+            let pred = ctx.preds.(lvl) in
+            N.set ctx.scratch ~obj:pred ~target:(next_cell t pred lvl)
+              ~expected:target_succ ~new_value:node;
+            if S.cas sctx ctx.scratch then link_upper ctx node level key (lvl + 1)
+            else link_upper ctx node level key lvl
           end
         end
       end
-    in
-    link 1
+    end
+
+  let insert_gen ctx key =
+    let t = ctx.t and sctx = ctx.sctx in
+    if find ctx key then begin
+      if not (Ptr.is_null ctx.node) then begin
+        S.dealloc sctx ctx.node;
+        ctx.node <- Ptr.null
+      end
+    end
+    else begin
+      if Ptr.is_null ctx.node then begin
+        ctx.node <- S.alloc sctx;
+        ctx.node_level <- random_level ctx
+      end;
+      let node = ctx.node in
+      R.write (key_cell t node) key;
+      R.write (level_cell t node) ctx.node_level;
+      R.write (count_cell t node) 0;
+      for lvl = 0 to ctx.node_level - 1 do
+        R.write (next_cell t node lvl) ctx.succs.(lvl)
+      done;
+      let pred = ctx.preds.(0) in
+      N.push ctx.cas ~obj:pred ~target:(next_cell t pred 0)
+        ~expected:ctx.succs.(0) ~new_value:node
+    end
+
+  (* The node stays cached until the wrap-up completes: a rollback inside
+     [link_upper] re-runs the wrap-up, which must still know the node. *)
+  let insert_wrap ctx key failed =
+    if ctx.cas.len = 0 then 0
+    else if failed <> N.none_failed then N.restart_generator
+    else begin
+      if ctx.node_level > 1 then link_upper ctx ctx.node ctx.node_level key 1;
+      ctx.node <- Ptr.null;
+      1
+    end
 
   (** [insert ctx key] adds [key] with a random level; false if present.
       The bottom-level link is the single CAS of the executor. *)
-  let insert ctx key =
+  let insert ctx key = N.run ctx.sctx ctx.cas insert_gen insert_wrap ctx key = 1
+
+  (* Marks are appended top-down, so the bottom-level mark — the
+     linearization point — is the executor's last CAS.  A marked bottom
+     level means a concurrent delete won: the list is dropped. *)
+  let delete_gen ctx key =
     let t = ctx.t and sctx = ctx.sctx in
-    let node = ref Ptr.null in
-    let node_level = ref 0 in
-    let generator () =
-      let found = find ctx key in
-      if found then begin
-        if not (Ptr.is_null !node) then begin
-          S.dealloc sctx !node;
-          node := Ptr.null
-        end;
-        (no_descs, false)
-      end
-      else begin
-        if Ptr.is_null !node then begin
-          node := S.alloc sctx;
-          node_level := random_level ctx
-        end;
-        R.write (key_cell t !node) key;
-        R.write (level_cell t !node) !node_level;
-        R.write (count_cell t !node) 0;
-        for lvl = 0 to !node_level - 1 do
-          R.write (next_cell t !node lvl) ctx.succs.(lvl)
-        done;
-        let d =
-          {
-            S.obj = ctx.preds.(0);
-            target = next_cell t ctx.preds.(0) 0;
-            expected = ctx.succs.(0);
-            new_value = !node;
-            expected_is_ptr = true;
-            new_is_ptr = true;
-          }
-        in
-        ([| d |], true)
-      end
-    in
-    let wrap_up ~descs:_ ~failed attempted =
-      if not attempted then N.Finish false
-      else if failed <> N.none_failed then N.Restart_generator
-      else begin
-        if !node_level > 1 then link_upper ctx !node !node_level key;
-        N.Finish true
-      end
-    in
-    N.run_op sctx ~generator ~wrap_up
+    if find ctx key then begin
+      let node = ctx.succs.(0) in
+      let level = S.read_data sctx (level_cell t node) in
+      S.check sctx;
+      let abort = ref false in
+      for lvl = level - 1 downto 0 do
+        if not !abort then begin
+          let nx = S.read_ptr sctx ~hp:(s_rot0 + 2) (next_cell t node lvl) in
+          if Ptr.is_marked nx then begin
+            (* someone else is deleting; at the bottom level they win *)
+            if lvl = 0 then abort := true
+          end
+          else
+            N.push ctx.cas ~obj:node ~target:(next_cell t node lvl)
+              ~expected:nx ~new_value:(Ptr.mark nx)
+        end
+      done;
+      if !abort then ctx.cas.len <- 0
+    end
+
+  let delete_wrap ctx key failed =
+    if ctx.cas.len = 0 then 0
+    else if failed <> N.none_failed then N.restart_generator
+    else begin
+      ignore (find ctx key);
+      1
+    end
 
   (** [delete ctx key] marks the victim's next fields top-down (bottom
       last, the linearization point); at most [level] CASes, the paper's
       [MAXLEN + 1] bound.  A post-success [find] physically unlinks the
       node promptly, as in Herlihy-Shavit. *)
-  let delete ctx key =
-    let t = ctx.t and sctx = ctx.sctx in
-    let generator () =
-      let found = find ctx key in
-      if not found then (no_descs, ())
-      else begin
-        let node = ctx.succs.(0) in
-        let level = S.read_data sctx (level_cell t node) in
-        S.check sctx;
-        let descs = ref [] in
-        let abort = ref false in
-        for lvl = level - 1 downto 0 do
-          if not !abort then begin
-            let nx = S.read_ptr sctx ~hp:(s_rot0 + 2) (next_cell t node lvl) in
-            if Ptr.is_marked nx then begin
-              (* someone else is deleting; at the bottom level they win *)
-              if lvl = 0 then abort := true
-            end
-            else
-              descs :=
-                {
-                  S.obj = node;
-                  target = next_cell t node lvl;
-                  expected = nx;
-                  new_value = Ptr.mark nx;
-                  expected_is_ptr = true;
-                  new_is_ptr = true;
-                }
-                :: !descs
-          end
-        done;
-        if !abort then (no_descs, ())
-        else
-          (* built bottom-up by the downto loop; reverse for top-down
-             execution with the bottom-level CAS last *)
-          (Array.of_list (List.rev !descs), ())
-      end
-    in
-    let wrap_up ~descs ~failed () =
-      if Array.length descs = 0 then N.Finish false
-      else if failed <> N.none_failed then N.Restart_generator
-      else begin
-        ignore (find ctx key);
-        N.Finish true
-      end
-    in
-    N.run_op ctx.sctx ~generator ~wrap_up
+  let delete ctx key = N.run ctx.sctx ctx.cas delete_gen delete_wrap ctx key = 1
 
   (* Batched execution through the scheme's amortised path (see
      Smr_intf.run_batch); each thunk must be a complete operation on this

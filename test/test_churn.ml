@@ -28,7 +28,23 @@ let old_default_capacity = 1_000 + 16_000 + 8
 let churn = 10 * old_default_capacity
 let prefill = 20_000
 
-let rss_sample () =
+(* Fill the calling domain's minor heap once over with garbage, so every
+   one of its pages is resident. *)
+let touch_minor_heap () =
+  for _ = 1 to (Gc.get ()).Gc.minor_heap_size do
+    ignore (Sys.opaque_identity (ref 0))
+  done
+
+(* Resident set with the runtime's fixed reservations held constant: the
+   minor heaps of the main domain and of the worker domain slot every
+   [par_run] reuses are made fully resident first, so the two samples
+   differ only by what the phases in between mapped or returned (the
+   arena's chunks, the OCaml major heap).  Without this a phase that
+   allocates little on the minor heap samples low, by up to one minor
+   heap per domain. *)
+let rss_sample par_run =
+  par_run touch_minor_heap;
+  touch_minor_heap ();
   Gc.compact ();
   Oa_runtime.Sysinfo.rss_bytes ()
 
@@ -66,7 +82,7 @@ let test_grow_shrink_churn () =
         ignore (H.insert tbl c k)
       done;
       H.quiesce c);
-  let rss_base = rss_sample () in
+  let rss_base = rss_sample (fun f -> R.par_run ~n:1 (fun _ -> f ())) in
   let committed_base = committed () in
   (* grow: ten times the old fixed default *)
   phase (fun c ->
@@ -95,7 +111,7 @@ let test_grow_shrink_churn () =
       ignore (H.contains tbl c 1);
       H.quiesce c;
       H.quiesce c);
-  let rss_post = rss_sample () in
+  let rss_post = rss_sample (fun f -> R.par_run ~n:1 (fun _ -> f ())) in
   let committed_post = committed () in
   let chunk_bytes = 4096 * 8 * 8 in
   (* deterministic view: the allocator's gauge returns to baseline, up to

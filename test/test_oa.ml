@@ -100,7 +100,7 @@ let test_cas_protects_and_clears () =
   let ok =
     S.cas ctx
       {
-        S.obj;
+        I.obj;
         target = cell;
         expected = exp;
         new_value = nw;
@@ -134,7 +134,7 @@ let test_cas_on_warning_restarts_without_casing () =
      ignore
        (S.cas ctx
           {
-            S.obj = Ptr.of_index 0;
+            I.obj = Ptr.of_index 0;
             target = cell;
             expected = 10;
             new_value = 20;
@@ -160,12 +160,13 @@ let test_protect_descs_dedups () =
   let ctx = S.register mm in
   let n3 = Ptr.of_index 3 and n4 = Ptr.of_index 4 in
   let d target expected new_value =
-    { S.obj = n3; target; expected; new_value;
+    { I.obj = n3; target; expected; new_value;
       expected_is_ptr = true; new_is_ptr = true }
   in
   (* two descs sharing the object and one operand: 3 distinct nodes *)
   let c0 = A.field arena n3 0 and c1 = A.field arena n3 1 in
-  S.protect_descs ctx [| d c0 n4 (Ptr.mark n4); d c1 n4 n3 |];
+  S.protect_descs ctx
+    { I.descs = [| d c0 n4 (Ptr.mark n4); d c1 n4 n3 |]; len = 2 };
   Alcotest.(check int) "distinct protections only" 2 ctx.S.owner_used;
   let base = cfg.I.hp_slots in
   let slots =
@@ -185,7 +186,7 @@ let test_empty_descs_no_fence () =
   let arena = A.create ~capacity:64 ~n_fields:2 in
   let mm = S.create arena cfg in
   let ctx = S.register mm in
-  S.protect_descs ctx [||];
+  S.protect_descs ctx { I.descs = [||]; len = 0 };
   Alcotest.(check int) "no fence for empty list (paper lines 10/31)" 0
     (S.stats mm).I.fences
 
@@ -240,16 +241,20 @@ let test_hazard_blocks_recycling () =
   let protected_node = List.hd nodes in
   (* protect one node as the CAS list of an ongoing operation would *)
   S.protect_descs ctx
-    [|
-      {
-        S.obj = protected_node;
-        target = A.field arena protected_node 1;
-        expected = 0;
-        new_value = 1;
-        expected_is_ptr = false;
-        new_is_ptr = false;
-      };
-    |];
+    {
+      I.descs =
+        [|
+          {
+            I.obj = protected_node;
+            target = A.field arena protected_node 1;
+            expected = 0;
+            new_value = 1;
+            expected_is_ptr = false;
+            new_is_ptr = false;
+          };
+        |];
+      len = 1;
+    };
   List.iter (fun p -> S.retire ctx p) nodes;
   (* churn allocations through several phases *)
   for _ = 1 to 30 do

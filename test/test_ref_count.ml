@@ -78,16 +78,20 @@ let test_protect_descs_holds () =
   let ctx = S.register mm in
   let n = S.alloc ctx in
   S.protect_descs ctx
-    [|
-      {
-        S.obj = n;
-        target = A.field arena n 1;
-        expected = 0;
-        new_value = 1;
-        expected_is_ptr = false;
-        new_is_ptr = false;
-      };
-    |];
+    {
+      I.descs =
+        [|
+          {
+            I.obj = n;
+            target = A.field arena n 1;
+            expected = 0;
+            new_value = 1;
+            expected_is_ptr = false;
+            new_is_ptr = false;
+          };
+        |];
+      len = 1;
+    };
   Alcotest.(check int) "desc hold" 1 (R.read (S.count_cell mm (Ptr.index n)));
   S.retire ctx n;
   Alcotest.(check int) "protected from free" 0 (S.stats mm).I.recycled;

@@ -2,6 +2,69 @@
 
 module SM = Oa_util.Splitmix
 
+(* Known-answer vectors generated from the original boxed-[int64]
+   implementation: the stream must stay bit-identical, because the golden
+   figures and every seeded workload replay depend on it.  Per seed: four
+   [next], four [below 1000], two [float], two [next] of [split 7], then
+   one more [next] of the parent. *)
+let kat =
+  [
+    ( 0,
+      [ 2459150361376443823; 3348600503766967796; 487617019471545679;
+        4074553321498378732 ],
+      [ 747; 186; 913; 228 ],
+      [ 0x1.f72bc4820e4c4p-3; 0x1.e77091186d196p-1 ],
+      [ 2311393186867970312; 128395828694917699 ],
+      203549151766241014 );
+    ( 1,
+      [ 1227844342346046657; 4533873174211652711; 4076781235000726878;
+        3585294735394392331 ],
+      [ 857; 336; 333; 725 ],
+      [ 0x1.245c6378d5f8ep-2; 0x1.9686b91ce8c2cp-1 ],
+      [ 2382438042646381774; 3842030158590288935 ],
+      1944662566643928062 );
+    ( 12345,
+      [ 2454886589211414944; 3778200017661327597; 2205171434679333405;
+        3248800117070709450 ],
+      [ 555; 742; 546; 164 ],
+      [ 0x1.eb4d00e560eaep-2; 0x1.bc2bd56b9ca7fp-1 ],
+      [ 1718575342049309945; 2176458629033416983 ],
+      2402418786382354454 );
+  ]
+
+let test_known_answers () =
+  List.iter
+    (fun (seed, nexts, belows, floats, splits, after) ->
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      let t = SM.create seed in
+      let draw n f = List.init n (fun _ -> f ()) in
+      Alcotest.(check (list int)) (name "next") nexts (draw 4 (fun () -> SM.next t));
+      Alcotest.(check (list int))
+        (name "below") belows
+        (draw 4 (fun () -> SM.below t 1000));
+      Alcotest.(check (list (float 0.0)))
+        (name "float") floats
+        (draw 2 (fun () -> SM.float t));
+      let c = SM.split t 7 in
+      Alcotest.(check (list int)) (name "split") splits (draw 2 (fun () -> SM.next c));
+      Alcotest.(check int) (name "after split") after (SM.next t))
+    kat
+
+(* The state is unboxed: an integer draw allocates nothing on the OCaml
+   heap ([float] returns a boxed float unless inlined). *)
+let test_draws_allocate_nothing () =
+  let t = SM.create 42 in
+  let acc = ref 0 in
+  ignore (SM.next t);
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc lxor SM.next t lxor SM.below t 97
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  if words > 100.0 then
+    Alcotest.failf "20 000 draws allocated %.0f minor words" words
+
 let test_determinism () =
   let a = SM.create 12345 and b = SM.create 12345 in
   for _ = 1 to 1000 do
@@ -99,6 +162,9 @@ let () =
     [
       ( "unit",
         [
+          Alcotest.test_case "known answers" `Quick test_known_answers;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_draws_allocate_nothing;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
           Alcotest.test_case "below range" `Quick test_below_range;
