@@ -1508,8 +1508,15 @@ let bench_core_cmd =
     (* Per-scheme allocation on the operation path: the worst domain
        point's minor-heap words per operation (each domain reads its own
        [Gc.minor_words] around its operation loop; the sum over domains
-       is divided by the operations).  bin/perf_gate.sh holds every
-       scheme to at most one word. *)
+       is divided by the operations).  Oversubscribed points are left out
+       unless every point is one, as in the batch gate: their stalled
+       threads run extra reclamation scans.  bin/perf_gate.sh holds
+       every scheme to at most one word. *)
+    let gated =
+      match List.filter (fun ((_, n), _) -> n <= host_cores) points with
+      | [] -> points
+      | l -> l
+    in
     Printf.bprintf buf "  \"minor_words_per_op\": {%s},\n"
       (String.concat ", "
          (List.map
@@ -1518,7 +1525,7 @@ let bench_core_cmd =
                 List.fold_left
                   (fun acc ((s, _), (_, words)) ->
                     if s = scheme then Float.max acc words else acc)
-                  0.0 points
+                  0.0 gated
               in
               Printf.sprintf "\"%s\": %.3f" (Schemes.id_name scheme) worst)
             schemes));

@@ -16,7 +16,8 @@
 #
 # The operation path must also stay allocation-free: every scheme's
 # "minor_words_per_op" (minor-heap words per hash-table operation, the
-# worst of its domain points) must be <= 1.  The one word of slack
+# worst of its domain points that do not oversubscribe the host) must
+# be <= 1.  The one word of slack
 # covers amortised pool-chunk refills and threshold work; the per-op
 # path itself allocates nothing (test/test_alloc.ml).
 #

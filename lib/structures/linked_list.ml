@@ -37,9 +37,9 @@ module Make (S : Oa_core.Smr_intf.S) = struct
      CAS-list buffer and a scratch descriptor for the search's unlink CAS
      are allocated once here and refilled in place, and the search writes
      the position it found into mutable immediate fields, so an operation
-     allocates nothing.  The scratch descriptor is separate from the CAS
-     list: an unlink inside a generator re-run must not overwrite a slot
-     the previous run already filled. *)
+     allocates nothing.  The scratch descriptor is never a CAS-list slot,
+     so an auxiliary CAS cannot overwrite a descriptor the generator has
+     already appended. *)
   type ctx = {
     t : t;
     sctx : S.ctx;
@@ -122,10 +122,11 @@ module Make (S : Oa_core.Smr_intf.S) = struct
      followed by the proper [retire].  An unlink at the head has a null
      [obj]: the head is not a node, so no scheme protects it (every
      [protect]/[hold] skips null, every scan ignores negative hazard
-     values).  Writes the position into [c] and returns its [prev_next]
-     cell — a cell in a mutable field would cost a write barrier per
-     search, and only [insert] needs it. *)
-  let rec search_from c head key s_prev s_cur s_next prev prev_next cur =
+     values).  Searches the chain of bucket [c.bucket], writes the
+     position into [c] and returns its [prev_next] cell — a cell in a
+     mutable field would cost a write barrier per search, and only
+     [insert] needs it. *)
+  let rec search_from c key s_prev s_cur s_next prev prev_next cur =
     if Ptr.is_null cur then begin
       c.prev <- prev;
       c.cur <- Ptr.null;
@@ -143,7 +144,7 @@ module Make (S : Oa_core.Smr_intf.S) = struct
       let cur_key = S.read_data sctx (key_cell t curp) in
       let tmp = S.read_data sctx prev_next in
       let next = S.read_ptr sctx ~hp:s_next cur_next in
-      if tmp <> cur then search c head key
+      if tmp <> cur then search c key
       else if not (Ptr.is_marked next) then
         if cur_key >= key then begin
           c.prev <- prev;
@@ -154,7 +155,7 @@ module Make (S : Oa_core.Smr_intf.S) = struct
         end
         else
           (* advance: prev <- cur <- next *)
-          search_from c head key s_cur s_next s_prev curp cur_next next
+          search_from c key s_cur s_next s_prev curp cur_next next
       else begin
         (* [curp] is logically deleted: physically unlink it. *)
         let unmarked_next = Ptr.unmark next in
@@ -164,29 +165,28 @@ module Make (S : Oa_core.Smr_intf.S) = struct
           S.retire sctx curp;
           (* prev keeps its slot; the value read into s_next becomes
              cur, freeing the old cur slot. *)
-          search_from c head key s_prev s_next s_cur prev prev_next
-            unmarked_next
+          search_from c key s_prev s_next s_cur prev prev_next unmarked_next
         end
-        else search c head key
+        else search c key
       end
     end
 
-  and search c head key =
-    search_from c head key 1 0 2 Ptr.null head (S.read_ptr c.sctx ~hp:0 head)
+  and search c key =
+    let head = head_cell c.t.heads c.bucket in
+    search_from c key 1 0 2 Ptr.null head (S.read_ptr c.sctx ~hp:0 head)
 
   let found c key = (not (Ptr.is_null c.cur)) && c.cur_key = key
-  let result b = if b then 1 else 0
 
   (* [contains] — wait-free in the original algorithm; a pure generator
      with an empty CAS list here. *)
-  let contains_gen c key = ignore (search c (head_cell c.t.heads c.bucket) key)
-  let contains_wrap c key _failed = result (found c key)
+  let contains_gen c key = ignore (search c key)
+  let contains_wrap c key _failed = Bool.to_int (found c key)
 
   (* [insert]: if the key turns out to be present the cached node returns
      to the allocator. *)
   let insert_gen c key =
     let t = c.t in
-    let prev_next = search c (head_cell t.heads c.bucket) key in
+    let prev_next = search c key in
     if found c key then begin
       if not (Ptr.is_null c.node) then begin
         S.dealloc c.sctx c.node;
@@ -212,7 +212,7 @@ module Make (S : Oa_core.Smr_intf.S) = struct
 
   (* [delete]: one CAS marking the victim's next field (Listing 1). *)
   let delete_gen c key =
-    ignore (search c (head_cell c.t.heads c.bucket) key);
+    ignore (search c key);
     if found c key then
       N.push c.cas ~obj:c.cur ~target:(next_cell c.t c.cur) ~expected:c.next
         ~new_value:(Ptr.mark c.next)

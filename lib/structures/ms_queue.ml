@@ -113,7 +113,8 @@ module Make (S : Oa_core.Smr_intf.S) = struct
     end
 
   (** [enqueue ctx v] appends [v]; always succeeds. *)
-  let enqueue ctx v = ignore (N.run ctx.sctx ctx.cas enqueue_gen enqueue_wrap ctx v)
+  let enqueue ctx v =
+    ignore (N.run ctx.sctx ctx.cas enqueue_gen enqueue_wrap ctx v)
 
   let rec dequeue_gen ctx _ =
     let t = ctx.t and sctx = ctx.sctx in

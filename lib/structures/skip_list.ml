@@ -187,7 +187,6 @@ module Make (S : Oa_core.Smr_intf.S) = struct
       end
     end
 
-  let result b = if b then 1 else 0
 
   (* [contains]: a CAS-free descent that skips marked nodes; [found] is
      the verdict of the lowest level that stopped at a node so far. *)
@@ -198,7 +197,8 @@ module Make (S : Oa_core.Smr_intf.S) = struct
         (S.read_ptr ctx.sctx ~hp:s_cur (next_cell ctx.t pred lvl))
 
   and contains_walk ctx key lvl s_cur s_next pred found cur =
-    if Ptr.is_null cur then contains_level ctx key (lvl - 1) s_cur s_next pred found
+    if Ptr.is_null cur then
+      contains_level ctx key (lvl - 1) s_cur s_next pred found
     else begin
       let t = ctx.t and sctx = ctx.sctx in
       let curp = Ptr.unmark cur in
@@ -220,10 +220,11 @@ module Make (S : Oa_core.Smr_intf.S) = struct
       contains_level ctx key (max_level - 1) s_rot0 (s_rot0 + 1) ctx.t.head
       false
 
-  let contains_wrap ctx _key _failed = result ctx.found
+  let contains_wrap ctx _key _failed = Bool.to_int ctx.found
 
   (** [contains ctx key]: a CAS-free descent that skips marked nodes. *)
-  let contains ctx key = N.run ctx.sctx ctx.cas contains_gen contains_wrap ctx key = 1
+  let contains ctx key =
+    N.run ctx.sctx ctx.cas contains_gen contains_wrap ctx key = 1
 
   (* Link the upper levels [lvl .. level-1] of a freshly inserted node;
      runs in the wrap-up and is restartable: every iteration re-finds the
@@ -233,7 +234,8 @@ module Make (S : Oa_core.Smr_intf.S) = struct
     if lvl < level then begin
       let t = ctx.t and sctx = ctx.sctx in
       ignore (find ctx key);
-      if Ptr.equal ctx.succs.(lvl) node then link_upper ctx node level key (lvl + 1)
+      if Ptr.equal ctx.succs.(lvl) node then
+        link_upper ctx node level key (lvl + 1)
       else begin
         let c = S.read_ptr sctx ~hp:(s_rot0 + 2) (next_cell t node lvl) in
         if Ptr.is_marked c then () (* node was deleted: stop linking *)
@@ -252,7 +254,8 @@ module Make (S : Oa_core.Smr_intf.S) = struct
             let pred = ctx.preds.(lvl) in
             N.set ctx.scratch ~obj:pred ~target:(next_cell t pred lvl)
               ~expected:target_succ ~new_value:node;
-            if S.cas sctx ctx.scratch then link_upper ctx node level key (lvl + 1)
+            if S.cas sctx ctx.scratch then
+              link_upper ctx node level key (lvl + 1)
             else link_upper ctx node level key lvl
           end
         end
@@ -297,7 +300,8 @@ module Make (S : Oa_core.Smr_intf.S) = struct
 
   (** [insert ctx key] adds [key] with a random level; false if present.
       The bottom-level link is the single CAS of the executor. *)
-  let insert ctx key = N.run ctx.sctx ctx.cas insert_gen insert_wrap ctx key = 1
+  let insert ctx key =
+    N.run ctx.sctx ctx.cas insert_gen insert_wrap ctx key = 1
 
   (* Marks are appended top-down, so the bottom-level mark — the
      linearization point — is the executor's last CAS.  A marked bottom
@@ -336,7 +340,8 @@ module Make (S : Oa_core.Smr_intf.S) = struct
       last, the linearization point); at most [level] CASes, the paper's
       [MAXLEN + 1] bound.  A post-success [find] physically unlinks the
       node promptly, as in Herlihy-Shavit. *)
-  let delete ctx key = N.run ctx.sctx ctx.cas delete_gen delete_wrap ctx key = 1
+  let delete ctx key =
+    N.run ctx.sctx ctx.cas delete_gen delete_wrap ctx key = 1
 
   (* Batched execution through the scheme's amortised path (see
      Smr_intf.run_batch); each thunk must be a complete operation on this

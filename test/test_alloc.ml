@@ -107,7 +107,8 @@ let shard_words id =
 
 let gate what measure (id, s) () =
   let w = measure (id, s) in
-  Printf.printf "%s %s: %.3f minor words/op\n" what (Oa_smr.Schemes.id_name id) w;
+  Printf.printf "%s %s: %.3f minor words/op\n" what
+    (Oa_smr.Schemes.id_name id) w;
   if w > budget then
     Alcotest.failf "%s under %s allocates %.2f minor words/op (budget %.0f)"
       what (Oa_smr.Schemes.id_name id) w budget

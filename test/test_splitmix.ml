@@ -38,7 +38,9 @@ let test_known_answers () =
       let name what = Printf.sprintf "seed %d %s" seed what in
       let t = SM.create seed in
       let draw n f = List.init n (fun _ -> f ()) in
-      Alcotest.(check (list int)) (name "next") nexts (draw 4 (fun () -> SM.next t));
+      Alcotest.(check (list int))
+        (name "next") nexts
+        (draw 4 (fun () -> SM.next t));
       Alcotest.(check (list int))
         (name "below") belows
         (draw 4 (fun () -> SM.below t 1000));
@@ -46,7 +48,9 @@ let test_known_answers () =
         (name "float") floats
         (draw 2 (fun () -> SM.float t));
       let c = SM.split t 7 in
-      Alcotest.(check (list int)) (name "split") splits (draw 2 (fun () -> SM.next c));
+      Alcotest.(check (list int))
+        (name "split") splits
+        (draw 2 (fun () -> SM.next c));
       Alcotest.(check int) (name "after split") after (SM.next t))
     kat
 
