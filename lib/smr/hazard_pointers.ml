@@ -195,16 +195,23 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
       used + 1
     end
 
-  let protect_descs ctx (cl : R.cell I.cas_list) =
-    let base = ctx.mm.cfg.I.hp_slots in
-    let used = ref 0 in
-    for i = 0 to cl.len - 1 do
+  let rec protect_from ctx (cl : R.cell I.cas_list) base i used =
+    if i >= cl.len then used
+    else begin
       let d = cl.descs.(i) in
-      used := protect_owner ctx base !used d.obj;
-      if d.expected_is_ptr then used := protect_owner ctx base !used d.expected;
-      if d.new_is_ptr then used := protect_owner ctx base !used d.new_value
-    done;
-    ctx.owner_used <- !used
+      let used = protect_owner ctx base used d.obj in
+      let used =
+        if d.expected_is_ptr then protect_owner ctx base used d.expected
+        else used
+      in
+      let used =
+        if d.new_is_ptr then protect_owner ctx base used d.new_value else used
+      in
+      protect_from ctx cl base (i + 1) used
+    end
+
+  let protect_descs ctx cl =
+    ctx.owner_used <- protect_from ctx cl ctx.mm.cfg.I.hp_slots 0 0
 
   let clear_descs ctx =
     let base = ctx.mm.cfg.I.hp_slots in

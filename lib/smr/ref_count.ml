@@ -231,15 +231,17 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
       used + 1
     end
 
-  let protect_descs ctx (cl : R.cell I.cas_list) =
-    let used = ref 0 in
-    for i = 0 to cl.len - 1 do
+  let rec hold_from ctx (cl : R.cell I.cas_list) i used =
+    if i >= cl.len then used
+    else begin
       let d = cl.descs.(i) in
-      used := hold ctx !used d.obj;
-      if d.expected_is_ptr then used := hold ctx !used d.expected;
-      if d.new_is_ptr then used := hold ctx !used d.new_value
-    done;
-    ctx.owner_used <- !used
+      let used = hold ctx used d.obj in
+      let used = if d.expected_is_ptr then hold ctx used d.expected else used in
+      let used = if d.new_is_ptr then hold ctx used d.new_value else used in
+      hold_from ctx cl (i + 1) used
+    end
+
+  let protect_descs ctx cl = ctx.owner_used <- hold_from ctx cl 0 0
 
   let clear_descs ctx =
     for j = 0 to ctx.owner_used - 1 do
