@@ -75,7 +75,7 @@ let push o expected new_value =
 
 let run o ~generator ~wrap_up key = N.run ctx o.cl generator wrap_up o key
 
-let test_run_op_happy_path () =
+let test_driver_happy_path () =
   let o = op () in
   let result =
     run o
@@ -188,7 +188,7 @@ let () =
         ] );
       ( "driver",
         [
-          Alcotest.test_case "happy path" `Quick test_run_op_happy_path;
+          Alcotest.test_case "happy path" `Quick test_driver_happy_path;
           Alcotest.test_case "generator restart" `Quick test_generator_restart;
           Alcotest.test_case "wrap-up restart" `Quick test_wrap_up_restart;
           Alcotest.test_case "restart-generator outcome" `Quick
