@@ -45,7 +45,7 @@ awk -v tol="$TOL" -v words="$WORDS" '
       split(pairs[i], kv, /": */)
       scheme = kv[1]; sub(/^"/, "", scheme)
       w = kv[2] + 0
-      gated++; alloc_gated++
+      alloc_gated++
       if (w > words + 0) {
         printf "perf-gate: FAIL alloc   %-4s minor words/op: %.3f > %s\n", \
           scheme, w, words
@@ -97,14 +97,15 @@ awk -v tol="$TOL" -v words="$WORDS" '
     if (gated == 0) {
       # refuse to "pass" on a file the gate could not read: an upstream
       # format change must break CI loudly, not disarm the gate silently
-      print "perf-gate: FAIL no gateable points found in input"
+      print "perf-gate: FAIL no gateable batch points found in input"
       exit 1
     }
     if (fails > 0) {
-      printf "perf-gate: %d of %d checks failed (tolerance %.2f)\n", \
-        fails, gated, tol
+      printf "perf-gate: %d of %d checks failed (%d batch, %d alloc; tolerance %.2f)\n", \
+        fails, gated + alloc_gated, gated, alloc_gated, tol
       exit 1
     }
-    printf "perf-gate: all %d checks passed (tolerance %.2f)\n", gated, tol
+    printf "perf-gate: all %d checks passed (%d batch, %d alloc; tolerance %.2f)\n", \
+      gated + alloc_gated, gated, alloc_gated, tol
   }
 ' "$JSON"

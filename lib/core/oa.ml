@@ -209,45 +209,7 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
     clear_write_hps ctx;
     res
 
-  (* Whether owner slots [base + j .. base + used - 1] hold [u].  Reads
-     every one of them, without an early exit: on the simulator each read
-     is a costed access. *)
-  let rec owner_holds ctx base u j used found =
-    if j >= used then found
-    else
-      owner_holds ctx base u (j + 1) used
-        (R.read ctx.hps.(base + j) = u || found)
-
-  (* Protect one CAS-list operand in owner slot [base + used] unless a
-     slot below it already holds the object (the paper's "basic
-     optimization"); returns the new slot count. *)
-  let protect_owner ctx base used p =
-    if Ptr.is_null p then used
-    else begin
-      let u = Ptr.unmark p in
-      if owner_holds ctx base u 0 used false then used
-      else begin
-        R.write ctx.hps.(base + used) u;
-        used + 1
-      end
-    end
-
-  (* Protect the operands of descriptors [i ..] of [cl]; returns the new
-     slot count. *)
-  let rec protect_from ctx (cl : R.cell Smr_intf.cas_list) base i used =
-    if i >= cl.len then used
-    else begin
-      let d = cl.descs.(i) in
-      let used = protect_owner ctx base used d.obj in
-      let used =
-        if d.expected_is_ptr then protect_owner ctx base used d.expected
-        else used
-      in
-      let used =
-        if d.new_is_ptr then protect_owner ctx base used d.new_value else used
-      in
-      protect_from ctx cl base (i + 1) used
-    end
+  module Owner = Smr_intf.Owner_slots (R)
 
   (* Algorithm 3: protect the CAS list from the end of the generator to the
      end of the wrap-up.  Duplicate objects are protected once; an empty
@@ -256,7 +218,7 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
     if cl.len > 0 then begin
       let t0 = Smr_intf.prof_enter ctx.prof Oa_obs.Phase.Hazard_publish in
       let base = ctx.mm.cfg.Smr_intf.hp_slots in
-      let used = protect_from ctx cl base 0 0 in
+      let used = Smr_intf.fold_operands Owner.protect ctx.hps base cl in
       ctx.owner_used <- used;
       if used > 0 then begin
         R.fence ();

@@ -172,6 +172,54 @@ type 'cell desc = {
     generator run refills it from [len = 0]. *)
 type 'cell cas_list = { descs : 'cell desc array; mutable len : int }
 
+(** [fold_operands f env base cl] visits every non-null pointer operand
+    of [cl]'s descriptors in execution order — each descriptor's [obj],
+    then [expected] and [new_value] when they are pointers — and calls
+    [f env base used p] with the operand unmarked, threading the slot
+    count [used] from 0; it returns the final count.  This is the one
+    walk every scheme's {!S.protect_descs} makes.  [f] is a functor- or
+    top-level function, so protecting a CAS list allocates nothing. *)
+let rec fold_operands_from f env base (cl : _ cas_list) i used =
+  if i >= cl.len then used
+  else begin
+    let d = cl.descs.(i) in
+    let used =
+      if Ptr.is_null d.obj then used else f env base used (Ptr.unmark d.obj)
+    in
+    let used =
+      if d.expected_is_ptr && not (Ptr.is_null d.expected) then
+        f env base used (Ptr.unmark d.expected)
+      else used
+    in
+    let used =
+      if d.new_is_ptr && not (Ptr.is_null d.new_value) then
+        f env base used (Ptr.unmark d.new_value)
+      else used
+    in
+    fold_operands_from f env base cl (i + 1) used
+  end
+
+let fold_operands f env base cl = fold_operands_from f env base cl 0 0
+
+(** Owner hazard slots with the paper's "basic optimization" (OA, VBR):
+    [protect hps base used u] publishes [u] in slot [base + used] unless
+    one of the filled slots [base .. base + used - 1] already holds it,
+    and returns the new slot count.  The duplicate scan reads every
+    filled slot, without an early exit: on the simulator each read is a
+    costed access. *)
+module Owner_slots (R : Oa_runtime.Runtime_intf.S) = struct
+  let rec holds hps base u j used found =
+    if j >= used then found
+    else holds hps base u (j + 1) used (R.read hps.(base + j) = u || found)
+
+  let protect (hps : R.cell array) base used u =
+    if holds hps base u 0 used false then used
+    else begin
+      R.write hps.(base + used) u;
+      used + 1
+    end
+end
+
 module type S = sig
   module R : Oa_runtime.Runtime_intf.S
 

@@ -298,8 +298,22 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
      holds no references, [on_restart] moves [seq], and the next scans
      (the caller's and everyone else's) can free.  Bounded per operation,
      so an arena that is genuinely too small still ends in
-     [Arena_exhausted]. *)
+     [Arena_exhausted].
+
+     The thread whose unmoved [seq] the scan found may simply be
+     descheduled on an oversubscribed host, and back-to-back rollbacks
+     spend the whole budget in well under one OS timeslice; after that
+     the stalled threads block each other's grace periods for good.  So
+     each fruitless stall scan first spins an escalating number of
+     [cpu_relax] hints, letting the budget span timeslices of wall time
+     as {!Oa_core.Versioned_pool.refill}'s does.  [cpu_relax] is a no-op
+     on the sim backend, so simulated runs are unchanged. *)
   let max_stall_rollbacks = 64
+
+  let stall_backoff stalls =
+    for _ = 1 to min (4_096 * (stalls + 1)) 65_536 do
+      R.cpu_relax ()
+    done
 
   let refill ctx =
     let mm = ctx.mm in
@@ -310,6 +324,7 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
         scan ctx;
         if ctx.s_recycled > before then true
         else if ctx.stalls >= 0 && ctx.stalls < max_stall_rollbacks then begin
+          stall_backoff ctx.stalls;
           ctx.stalls <- ctx.stalls + 1;
           ctx.s_restarts <- ctx.s_restarts + 1;
           I.obs_incr ctx.o Oa_obs.Event.Rollback;

@@ -187,31 +187,13 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
      if later operations of the generator loop overwrite the read slots.
      The objects are currently protected by read slots, so copying them
      needs no fence. *)
-  let protect_owner ctx base used p =
-    if Ptr.is_null p then used
-    else begin
-      R.write ctx.hps.(base + used) (Ptr.unmark p);
-      ctx.shadow.(base + used) <- Ptr.unmark p;
-      used + 1
-    end
-
-  let rec protect_from ctx (cl : R.cell I.cas_list) base i used =
-    if i >= cl.len then used
-    else begin
-      let d = cl.descs.(i) in
-      let used = protect_owner ctx base used d.obj in
-      let used =
-        if d.expected_is_ptr then protect_owner ctx base used d.expected
-        else used
-      in
-      let used =
-        if d.new_is_ptr then protect_owner ctx base used d.new_value else used
-      in
-      protect_from ctx cl base (i + 1) used
-    end
+  let protect_owner ctx base used u =
+    R.write ctx.hps.(base + used) u;
+    ctx.shadow.(base + used) <- u;
+    used + 1
 
   let protect_descs ctx cl =
-    ctx.owner_used <- protect_from ctx cl ctx.mm.cfg.I.hp_slots 0 0
+    ctx.owner_used <- I.fold_operands protect_owner ctx ctx.mm.cfg.I.hp_slots cl
 
   let clear_descs ctx =
     let base = ctx.mm.cfg.I.hp_slots in

@@ -222,26 +222,14 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
   let check _ = ()
   let cas _ (d : R.cell I.desc) = R.cas d.target d.expected d.new_value
 
-  let hold ctx used p =
-    if Ptr.is_null p then used
-    else begin
-      let idx = Ptr.index (Ptr.unmark p) in
-      acquire ctx idx;
-      ctx.owner_held.(used) <- idx;
-      used + 1
-    end
+  (* [_base]: owner counts live in their own array, from index 0. *)
+  let hold ctx _base used u =
+    let idx = Ptr.index u in
+    acquire ctx idx;
+    ctx.owner_held.(used) <- idx;
+    used + 1
 
-  let rec hold_from ctx (cl : R.cell I.cas_list) i used =
-    if i >= cl.len then used
-    else begin
-      let d = cl.descs.(i) in
-      let used = hold ctx used d.obj in
-      let used = if d.expected_is_ptr then hold ctx used d.expected else used in
-      let used = if d.new_is_ptr then hold ctx used d.new_value else used in
-      hold_from ctx cl (i + 1) used
-    end
-
-  let protect_descs ctx cl = ctx.owner_used <- hold_from ctx cl 0 0
+  let protect_descs ctx cl = ctx.owner_used <- I.fold_operands hold ctx 0 cl
 
   let clear_descs ctx =
     for j = 0 to ctx.owner_used - 1 do

@@ -276,40 +276,7 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
     clear_write_hps ctx;
     res
 
-  (* CAS-list operand protection into owner slots, as OA's: a duplicate
-     scan that reads every filled slot, then one slot per new object.
-     Each returns the new slot count. *)
-  let rec owner_holds ctx base u j used found =
-    if j >= used then found
-    else
-      owner_holds ctx base u (j + 1) used
-        (R.read ctx.hps.(base + j) = u || found)
-
-  let protect_owner ctx base used p =
-    if Ptr.is_null p then used
-    else begin
-      let u = Ptr.unmark p in
-      if owner_holds ctx base u 0 used false then used
-      else begin
-        R.write ctx.hps.(base + used) u;
-        used + 1
-      end
-    end
-
-  let rec protect_from ctx (cl : R.cell I.cas_list) base i used =
-    if i >= cl.len then used
-    else begin
-      let d = cl.descs.(i) in
-      let used = protect_owner ctx base used d.obj in
-      let used =
-        if d.expected_is_ptr then protect_owner ctx base used d.expected
-        else used
-      in
-      let used =
-        if d.new_is_ptr then protect_owner ctx base used d.new_value else used
-      in
-      protect_from ctx cl base (i + 1) used
-    end
+  module Owner = I.Owner_slots (R)
 
   (* Protect the CAS list from the end of the generator to the end of
      the wrap-up (OA's Algorithm 3 with the version re-check).  Duplicate
@@ -319,7 +286,7 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
     if cl.len > 0 then begin
       let t0 = I.prof_enter ctx.prof Oa_obs.Phase.Hazard_publish in
       let base = ctx.mm.cfg.I.hp_slots in
-      let used = protect_from ctx cl base 0 0 in
+      let used = I.fold_operands Owner.protect ctx.hps base cl in
       ctx.owner_used <- used;
       if used > 0 then begin
         R.fence ();
