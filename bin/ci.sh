@@ -263,26 +263,17 @@ fi
 
 # Cycle attribution (docs/performance.md): where each scheme's cycles
 # go — per-phase sampled-TSC estimates over bench-core's batch-sweep
-# workload, with hardware counters when the runner grants
-# perf_event_open.  Recorded
-# as an artifact, not asserted: attribution shares drift with the
-# machine, and the gate above already covers the end-to-end numbers.
+# workload.  Recorded as an artifact, not asserted: attribution shares
+# drift with the machine, and the gate above already covers the
+# end-to-end numbers.
 echo "== profile smoke (cycle attribution)"
 dune exec bin/oa_cli.exe -- profile --schemes oa,hp,ebr,vbr --ops 60000 \
   --json BENCH_profile.json
 test -s BENCH_profile.json
 
 # The elastic allocator's RSS-over-time curve (docs/memory.md) rides in
-# BENCH_core.json; pull it out into its own small artifact so the
-# grow/shrink shape is reviewable at a glance.
-{
-  printf '{'
-  sed -n '/"rss_curve"/,/\]/p' BENCH_core.json | sed '$s/,$//'
-  printf '}\n'
-} > RSS_curve.json
-grep -q '"rss_curve"' RSS_curve.json
-echo "== RSS_curve.json"
-cat RSS_curve.json
+# BENCH_core.json, uploaded with it.
+grep -q '"rss_curve"' BENCH_core.json
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt"

@@ -1,6 +1,8 @@
 (* Command-line interface to the reproduction harness.
 
-   oa_cli figure <1..8>          regenerate one figure of the paper
+   oa_cli figure <1..8|ablations>
+                                 regenerate one figure of the paper, or
+                                 the ablation tables
    oa_cli run [options]          run a single custom experiment
    oa_cli check [options]        explore schedules for SMR violations
    oa_cli serve [options]        serve the sharded hash table over TCP
@@ -269,30 +271,35 @@ let run_cmd =
 (* --- figure --- *)
 
 let figure_cmd =
-  let n =
+  let figures =
+    [
+      ("1", fun () -> F.fig1 ());
+      ("2", F.fig2);
+      ("3", F.fig3);
+      ("4", fun () -> F.fig4 ~data:(F.run_fig1_data ()) ());
+      ("5", F.fig5);
+      ("6", fun () -> F.fig6 ~data:(F.run_fig5_data ()) ());
+      ("7", F.fig7);
+      ("8", F.fig8);
+      ("ablations", F.ablations);
+    ]
+  in
+  let which =
     Arg.(
       required
-      & pos 0 (some int) None
-      & info [] ~docv:"N" ~doc:"Figure number, 1-8.")
-  in
-  let run n =
-    match n with
-    | 1 -> ignore (F.fig1 ())
-    | 2 -> F.fig2 ()
-    | 3 -> F.fig3 ()
-    | 4 -> F.fig4 ~data:(F.run_fig1_data ()) ()
-    | 5 -> ignore (F.fig5 ())
-    | 6 -> F.fig6 ~data:(F.run_fig5_data ()) ()
-    | 7 -> F.fig7 ()
-    | 8 -> F.fig8 ()
-    | _ -> prerr_endline "figure must be 1-8"; exit 1
+      & pos 0 (some (enum figures)) None
+      & info [] ~docv:"N"
+          ~doc:
+            "Figure number, 1-8, or $(b,ablations) for the ablation and \
+             extension tables.")
   in
   Cmd.v
     (Cmd.info "figure"
        ~doc:
-         "Regenerate one figure of the paper (env: OA_BENCH_SCALE, \
-          OA_BENCH_REPEATS, OA_BENCH_THREADS, OA_BENCH_CSV).")
-    Term.(const run $ n)
+         "Regenerate one figure of the paper, or the ablations, on the \
+          simulated multicore (env: OA_BENCH_SCALE, OA_BENCH_REPEATS, \
+          OA_BENCH_THREADS, OA_BENCH_CSV).")
+    Term.(const (fun f -> f ()) $ which)
 
 (* --- check --- *)
 
@@ -1249,10 +1256,8 @@ let write_json path buf =
    feeds on.  [batch = 1] runs the stream per-op; larger sizes go through
    Hash_table.run_batch with every per-batch buffer preallocated and
    lent, so the delta against per-op is the schemes' amortisation, not
-   allocator traffic.  [measure] wraps the timed region (the profiler
-   opens its hardware counters around it).  Per-thread TSC spans are
-   taken on each domain — the same same-thread-difference discipline the
-   phase timers use. *)
+   allocator traffic.  Per-thread TSC spans are taken on each domain —
+   the same same-thread-difference discipline the phase timers use. *)
 type core_run = {
   wall_s : float;  (** the timed [par_run], wall clock *)
   thread_cycles : int array;  (** TSC span of each domain's op loop *)
@@ -1260,8 +1265,7 @@ type core_run = {
   stats : Oa_core.Smr_intf.stats;
 }
 
-let core_workload ?obs ?(measure = fun f -> f ()) ~scheme ~threads
-    ~per_thread ~prefill ~batch () =
+let core_workload ?obs ~scheme ~threads ~per_thread ~prefill ~batch () =
   let module R =
     (val Oa_runtime.Real_backend.make ~max_threads:(threads + 1) ())
   in
@@ -1294,50 +1298,47 @@ let core_workload ?obs ?(measure = fun f -> f ()) ~scheme ~threads
   done;
   let thread_cycles = Array.make threads 0 in
   let t0 = Unix.gettimeofday () in
-  measure (fun () ->
-      R.par_run ~n:threads (fun tid ->
-          let ctx = H.register tbl in
-          let rng = Oa_util.Splitmix.create (1_000 + (tid * 7919)) in
-          let base = ref 1 in
-          let next i =
-            if i mod 16 = 0 then
-              base := 1 + Oa_util.Splitmix.below rng (key_range - window);
-            let key = !base + Oa_util.Splitmix.below rng window in
-            let op =
-              match Oa_util.Splitmix.below rng 10 with
-              | 0 | 1 | 2 | 3 | 4 | 5 -> `Contains
-              | 6 | 7 -> `Insert
-              | _ -> `Delete
-            in
-            (op, key)
-          in
-          let c0 = Oa_runtime.Clock.tsc () in
-          if batch = 1 then
-            for i = 0 to per_thread - 1 do
-              match next i with
-              | `Contains, key -> ignore (H.contains tbl ctx key)
-              | `Insert, key -> ignore (H.insert tbl ctx key)
-              | `Delete, key -> ignore (H.delete tbl ctx key)
-            done
-          else begin
-            let bbuf =
-              Array.init batch (fun _ -> { H.op = `Contains; key = 1 })
-            in
-            let keys = Array.make batch 0 in
-            let scratch = Array.make batch 0 in
-            let results = Array.make batch false in
-            for g = 0 to groups - 1 do
-              for j = 0 to batch - 1 do
-                let op, key = next ((g * batch) + j) in
-                let r = bbuf.(j) in
-                r.H.op <- op;
-                r.H.key <- key
-              done;
-              ignore (H.run_batch tbl ctx ~scratch ~keys ~results bbuf)
-            done
-          end;
-          thread_cycles.(tid) <- Oa_runtime.Clock.tsc () - c0;
-          H.quiesce ctx));
+  R.par_run ~n:threads (fun tid ->
+      let ctx = H.register tbl in
+      let rng = Oa_util.Splitmix.create (1_000 + (tid * 7919)) in
+      let base = ref 1 in
+      let next i =
+        if i mod 16 = 0 then
+          base := 1 + Oa_util.Splitmix.below rng (key_range - window);
+        let key = !base + Oa_util.Splitmix.below rng window in
+        let op =
+          match Oa_util.Splitmix.below rng 10 with
+          | 0 | 1 | 2 | 3 | 4 | 5 -> `Contains
+          | 6 | 7 -> `Insert
+          | _ -> `Delete
+        in
+        (op, key)
+      in
+      let c0 = Oa_runtime.Clock.tsc () in
+      if batch = 1 then
+        for i = 0 to per_thread - 1 do
+          match next i with
+          | `Contains, key -> ignore (H.contains tbl ctx key)
+          | `Insert, key -> ignore (H.insert tbl ctx key)
+          | `Delete, key -> ignore (H.delete tbl ctx key)
+        done
+      else begin
+        let bbuf = Array.init batch (fun _ -> { H.op = `Contains; key = 1 }) in
+        let keys = Array.make batch 0 in
+        let scratch = Array.make batch 0 in
+        let results = Array.make batch false in
+        for g = 0 to groups - 1 do
+          for j = 0 to batch - 1 do
+            let op, key = next ((g * batch) + j) in
+            let r = bbuf.(j) in
+            r.H.op <- op;
+            r.H.key <- key
+          done;
+          ignore (H.run_batch tbl ctx ~scratch ~keys ~results bbuf)
+        done
+      end;
+      thread_cycles.(tid) <- Oa_runtime.Clock.tsc () - c0;
+      H.quiesce ctx);
   {
     wall_s = Unix.gettimeofday () -. t0;
     thread_cycles;
@@ -1400,29 +1401,6 @@ let bench_core_cmd =
              isolate the schemes' batch amortisation.")
   in
   let run schemes domains ops prefill repeats batches json =
-    (* middle element of the sorted sample: robust against one noisy run *)
-    let median l =
-      let s = List.sort compare l in
-      List.nth s (List.length s / 2)
-    in
-    (* The gate statistic for ratios: drop the top and bottom ~20% of the
-       sorted pair ratios and average the rest.  Pairing the batch sizes
-       within each repeat (below) already absorbs noise episodes, so
-       what's left per pair is roughly symmetric jitter — and there a
-       trimmed mean is meaningfully tighter than the median (which throws
-       away all but the middle sample), directly shrinking the tail the
-       CI perf gate's 10% tolerance has to cover. *)
-    let trimmed_mean l =
-      let a = Array.of_list l in
-      Array.sort compare a;
-      let n = Array.length a in
-      let k = if n >= 5 then max 1 (n / 5) else if n >= 3 then 1 else 0 in
-      let s = ref 0. in
-      for i = k to n - 1 - k do
-        s := !s +. a.(i)
-      done;
-      !s /. float_of_int (n - (2 * k))
-    in
     let check_conservation what st =
       let open Oa_core.Smr_intf in
       if st.recycled > st.retires then begin
@@ -1463,8 +1441,9 @@ let bench_core_cmd =
         (List.fold_left
            (fun st r -> Oa_core.Smr_intf.add_stats st r.E.smr_stats)
            Oa_core.Smr_intf.empty_stats runs);
-      ( median (List.map (fun r -> r.E.throughput) runs),
-        median (List.map (fun r -> r.E.minor_words_per_op) runs) )
+      ( Oa_harness.Stats.median (List.map (fun r -> r.E.throughput) runs),
+        Oa_harness.Stats.median
+          (List.map (fun r -> r.E.minor_words_per_op) runs) )
     in
     let buf = Buffer.create 1024 in
     Buffer.add_string buf "{\n";
@@ -1605,11 +1584,11 @@ let bench_core_cmd =
             check_conservation
               (Printf.sprintf "%s at batch %d" (Schemes.id_name scheme) b)
               stats.(bi);
-            let tp = median samples.(bi) in
+            let tp = Oa_harness.Stats.median samples.(bi) in
             (* same prepend order on both lists, so map2 pairs each
                repeat's measurement with its own control run *)
             let speedup =
-              trimmed_mean
+              Oa_harness.Stats.trimmed_mean
                 (List.map2 (fun t c -> t /. c) samples.(bi) samples.(0))
             in
             if b = max_batch && max_batch > 1 then
@@ -1738,8 +1717,8 @@ let bench_core_cmd =
 (* Cycle attribution: where do the schemes' cycles actually go?  Runs the
    core workload (bench-core's batch sweep) with the phase profiler
    enabled — a sink carrying [Clock.tsc] — per scheme, and writes
-   BENCH_profile.json: per-phase sampled-TSC estimates, the traverse
-   remainder, and hardware counters where perf_event_open is granted.
+   BENCH_profile.json: per-phase sampled-TSC estimates and the traverse
+   remainder.
    docs/performance.md explains how to read the output. *)
 let profile_cmd =
   let threads =
@@ -1775,10 +1754,6 @@ let profile_cmd =
   in
   let run schemes threads ops prefill batch sample_log2 json =
     let host_cores = Oa_runtime.Sysinfo.nproc () in
-    let hw_events =
-      Oa_runtime.Perf.[ Cycles; Instructions; Cache_misses; Branch_misses ]
-    in
-    let hw_available = Oa_runtime.Perf.available () in
     (* One profiled run.  Total cycles are the per-thread TSC spans
        summed after join, so the traverse remainder [total -
        sum(phases)] is internally consistent with the phase timers. *)
@@ -1787,16 +1762,9 @@ let profile_cmd =
         Oa_obs.Sink.create ~profile_clock:Oa_runtime.Clock.tsc
           ~profile_sample_log2:sample_log2 ()
       in
-      (* counters are opened with inherit set, so the spawned benchmark
-         domains fold their counts into the parent on exit; reading
-         after the join covers the whole measured region *)
-      let hw = ref [] in
       let r =
-        core_workload ~obs:sink
-          ~measure:(fun body ->
-            let (), counts = Oa_runtime.Perf.measure hw_events body in
-            hw := counts)
-          ~scheme ~threads ~per_thread:ops ~prefill ~batch ()
+        core_workload ~obs:sink ~scheme ~threads ~per_thread:ops ~prefill
+          ~batch ()
       in
       let snap = Oa_obs.Sink.snapshot sink in
       let total = float_of_int (Array.fold_left ( + ) 0 r.thread_cycles) in
@@ -1810,7 +1778,7 @@ let profile_cmd =
          (plus timer overhead and sampling error); clamped because a
          noisy short run can over-attribute *)
       let traverse = Float.max 0. (total -. attributed) in
-      (total, traverse, rows, !hw, r.executed)
+      (total, traverse, rows, r.executed)
     in
     let buf = Buffer.create 4096 in
     Buffer.add_string buf "{\n";
@@ -1822,12 +1790,11 @@ let profile_cmd =
     Printf.bprintf buf "  \"sample_log2\": %d,\n" sample_log2;
     Printf.bprintf buf "  \"host_cores\": %d,\n" host_cores;
     Printf.bprintf buf "  \"oversubscribed\": %b,\n" (threads > host_cores);
-    Printf.bprintf buf "  \"perf_counters_available\": %b,\n" hw_available;
     Buffer.add_string buf "  \"runs\": [\n";
     let first = ref true in
     List.iter
       (fun scheme ->
-        let total, traverse, rows, hw, executed = one scheme in
+        let total, traverse, rows, executed = one scheme in
         Format.printf "@.%s (%d ops, batch %d)@." (Schemes.id_name scheme)
           executed batch;
         Format.printf "%-16s %12s %10s %8s@." "phase" "est cycles"
@@ -1842,9 +1809,6 @@ let profile_cmd =
         Format.printf "%-16s %12.3e %10.1f %7.1f%%@." "total" total
           (total /. float_of_int executed)
           100.;
-        List.iter
-          (fun (n, v) -> Format.printf "hw %-18s %d@." n v)
-          hw;
         if !first then first := false else Buffer.add_string buf ",\n";
         Printf.bprintf buf
           "    {\"scheme\": \"%s\",\n\
@@ -1871,18 +1835,7 @@ let profile_cmd =
               name hits sampled cycles est
               (est /. Float.max 1. total))
           rows;
-        Buffer.add_string buf "\n     ],\n";
-        Buffer.add_string buf "     \"hw\": {";
-        Buffer.add_string buf
-          (String.concat ", "
-             (List.map
-                (fun ev ->
-                  let n = Oa_runtime.Perf.event_name ev in
-                  match List.assoc_opt n hw with
-                  | Some v -> Printf.sprintf "\"%s\": %d" n v
-                  | None -> Printf.sprintf "\"%s\": null" n)
-                hw_events));
-        Buffer.add_string buf "}}")
+        Buffer.add_string buf "\n     ]}")
       schemes;
     Buffer.add_string buf "\n  ]\n}\n";
     write_json json buf
@@ -1893,9 +1846,8 @@ let profile_cmd =
          "Cycle attribution for the SMR schemes: sampled-TSC per-phase \
           timers (warning checks, hazard publication, epoch \
           announcement, alloc/retire/reclaim, batch overhead) over the \
-          core workload on the real backend, with hardware \
-          counters when perf_event_open is permitted.  Writes \
-          BENCH_profile.json.")
+          core workload on the real backend, with the unattributed \
+          remainder reported as traverse.  Writes BENCH_profile.json.")
     Term.(
       const run $ schemes_arg $ threads $ ops $ prefill_arg $ batch
       $ sample_log2 $ json_arg "BENCH_profile.json")

@@ -5,9 +5,9 @@
 # failure here: run_batch amortisation must not cost throughput, so
 # every scheme's speedup at the largest batch size must be >= TOL.
 #
-# TOL defaults to 0.90 — a 10% tolerance on top of bench-core's own
-# trimmed mean over paired repeats, sized to the noise floor of shared
-# CI runners, not to forgive real regressions.
+# TOL is 0.90 — a 10% tolerance on top of bench-core's own trimmed mean
+# over paired repeats (Oa_harness.Stats.trimmed_mean), sized to the noise
+# floor of shared CI runners, not to forgive real regressions.
 #
 # A batch sweep run with more domains than the machine has cores
 # carries "oversubscribed": true and is reported but NOT gated: on a 1-2
@@ -22,7 +22,6 @@
 # path itself allocates nothing (test/test_alloc.ml).
 #
 # Usage: perf_gate.sh [BENCH_core.json]
-#   OA_PERF_GATE_TOL=0.85  override the tolerance
 #
 # The JSON is bench-core's own printf output (one object per line), so
 # line-oriented awk is a faithful parser for it; this script is not a
@@ -30,7 +29,7 @@
 set -eu
 
 JSON="${1:-BENCH_core.json}"
-TOL="${OA_PERF_GATE_TOL:-0.90}"
+TOL=0.90
 WORDS=1
 
 test -s "$JSON" || { echo "perf-gate: $JSON missing or empty" >&2; exit 1; }

@@ -230,8 +230,7 @@ let fig1 ?data () =
     "Figure 1: throughput ratio vs NoRecl, AMD model, 80% reads, \
      infrequent reclamation";
   let data = match data with Some d -> d | None -> run_fig1_data () in
-  print_ratio_tables ~fig:"1" data;
-  data
+  print_ratio_tables ~fig:"1" data
 
 let fig4 ~data () =
   Report.section ppf
@@ -244,12 +243,10 @@ let run_fig5_data () =
   run_standard ~cm:CM.intel_xeon ~mix:Oa_workload.Op_mix.read_mostly
     ~delta:fig1_delta
 
-let fig5 ?data () =
+let fig5 () =
   Report.section ppf
     "Figure 5: throughput ratio vs NoRecl, Intel Xeon model";
-  let data = match data with Some d -> d | None -> run_fig5_data () in
-  print_ratio_tables ~fig:"5" data;
-  data
+  print_ratio_tables ~fig:"5" (run_fig5_data ())
 
 let fig6 ~data () =
   Report.section ppf

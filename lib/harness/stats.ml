@@ -65,6 +65,25 @@ let percentile p xs =
 
 let median xs = percentile 0.5 xs
 
+(** [trimmed_mean xs] drops the [k] smallest and [k] largest samples and
+    averages the rest, with [k = max 1 (n / 5)] from five samples up, [1]
+    for three or four, and [0] below three.  It is the statistic
+    bin/perf_gate.sh gates batch speedups on: pairing the batch sizes
+    within each repeat already absorbs noise episodes, so what is left
+    per pair is roughly symmetric jitter, where a trimmed mean is tighter
+    than the median (which keeps only the middle sample). *)
+let trimmed_mean xs =
+  let a = Array.of_list xs in
+  let n = Array.length a in
+  if n = 0 then invalid_arg "Stats.trimmed_mean: empty";
+  Array.sort compare a;
+  let k = if n >= 5 then max 1 (n / 5) else if n >= 3 then 1 else 0 in
+  let s = ref 0. in
+  for i = k to n - 1 - k do
+    s := !s +. a.(i)
+  done;
+  !s /. float_of_int (n - (2 * k))
+
 let summary xs =
   match xs with
   | [] -> invalid_arg "Stats.summary: empty"

@@ -24,6 +24,25 @@ let test_median () =
   Alcotest.(check (float 1e-9)) "odd" 2.0 (Stats.median [ 3.0; 1.0; 2.0 ]);
   Alcotest.(check (float 1e-9)) "even" 2.5 (Stats.median [ 4.0; 1.0; 2.0; 3.0 ])
 
+(* The trim rule bin/perf_gate.sh gates on: nothing dropped below three
+   samples, one from each end for three to nine, n/5 from each end from
+   ten up (two at CI's eleven).  Each sample is lopsided, so trimming one
+   more or one fewer from each end moves the result. *)
+let test_trimmed_mean () =
+  let check name expected xs =
+    Alcotest.(check (float 1e-9)) name expected (Stats.trimmed_mean xs)
+  in
+  check "n=1 keeps the sample" 7.0 [ 7.0 ];
+  check "n=2 keeps both" 51.0 [ 100.0; 2.0 ];
+  check "n=3 drops one per end" 2.0 [ 100.0; 1.0; 2.0 ];
+  check "n=5 drops one per end" 5.0 [ 10.0; 100.0; 1.0; 2.0; 3.0 ];
+  (* sorted: -50 0 1 2 3 4 5 6 14 20 100; two per end leave 1..6 and 14 *)
+  check "n=11 drops two per end" 5.0
+    [ 14.0; 100.0; 0.0; 6.0; 1.0; -50.0; 5.0; 2.0; 20.0; 3.0; 4.0 ];
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Stats.trimmed_mean: empty") (fun () ->
+      ignore (Stats.trimmed_mean []))
+
 let test_summary () =
   let s = Stats.summary [ 10.0; 12.0; 14.0 ] in
   Alcotest.(check int) "n" 3 s.Stats.n;
@@ -84,6 +103,7 @@ let () =
           Alcotest.test_case "mean empty" `Quick test_mean_empty;
           Alcotest.test_case "stddev" `Quick test_stddev;
           Alcotest.test_case "median" `Quick test_median;
+          Alcotest.test_case "trimmed mean" `Quick test_trimmed_mean;
           Alcotest.test_case "summary" `Quick test_summary;
           Alcotest.test_case "summary singleton" `Quick test_summary_single;
           Alcotest.test_case "normal quantile for big n" `Quick
