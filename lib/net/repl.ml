@@ -53,23 +53,33 @@ type t = {
   mutable follower : unit Domain.t option;
 }
 
-(* Apply one batch of keyed mutations through the service's own
-   submit/await path: the replica's shard workers execute them exactly
-   like client writes, so batching, SMR behaviour and telemetry are the
-   production path's.  BUSY rejections are retried — the log stream must
-   not drop records. *)
-let apply_muts t muts =
+(** Apply one batch of keyed mutations, in log order, through the
+    service's own stage/await path: the replica's shard workers execute
+    them exactly like client writes, so batching, SMR behaviour and
+    telemetry are the production path's.  BUSY rejections are retried —
+    the log stream must not drop records.  Order per key survives the
+    retry: a key always routes to one shard, and what that shard's queue
+    rejects is the tail of the round's share for it, so every rejected
+    record comes after every accepted record of its shard and is
+    resubmitted only once those have completed. *)
+let apply_muts service muts =
+  let batch = Service.new_batch () in
   let rec go muts =
     match muts with
     | [] -> ()
     | _ ->
-        let batch = Service.new_batch () in
-        let rejected =
-          List.filter
-            (fun (kind, key) -> Service.submit t.service batch kind key = None)
+        let staged =
+          List.map
+            (fun (kind, key) ->
+              ((kind, key), Service.stage service batch kind key))
             muts
         in
         Service.await batch;
+        let rejected =
+          List.filter_map
+            (fun (m, (item : Service.item)) -> if item.busy then Some m else None)
+            staged
+        in
         if rejected <> [] then begin
           Unix.sleepf 0.001;
           go rejected
@@ -102,7 +112,7 @@ let resync t client ~shard =
           match expect_seq with
           | Some s when s <> ckpt_seq -> from_start ()
           | _ ->
-              apply_muts t
+              apply_muts t.service
                 (Array.to_list
                    (Array.map (fun k -> (Service.Insert, k)) keys));
               Atomic.fetch_and_add t.snap_keys (Array.length keys) |> ignore;
@@ -140,7 +150,7 @@ let follow_conn t client nshards =
           with
           | Ok { Protocol.body = Protocol.Records_r { last; records }; _ } ->
               if Array.length records > 0 then begin
-                apply_muts t
+                apply_muts t.service
                   (Array.to_list (Array.map record_mut records));
                 Atomic.fetch_and_add t.applied_records (Array.length records)
                 |> ignore;

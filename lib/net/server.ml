@@ -1,12 +1,15 @@
 (** TCP front-end: accept loop, per-connection handlers, graceful
     shutdown.
 
-    One domain per connection, blocking I/O.  A handler reads one
-    pipelined batch of frames, submits the shard operations to the
-    {!Service}, answers PING/STATS inline, awaits the batch rendezvous,
-    and writes every response in request order before reading again —
-    so responses never interleave within a connection and ids stay
-    matchable.
+    One domain per connection, blocking I/O, at most [max_conns] live
+    connections: one past the cap is answered with a single BUSY frame
+    (id 0) and closed, so a connection flood cannot exhaust OCaml's
+    domain limit and take the accept loop down.  A handler reads one
+    pipelined batch of frames, stages the shard operations in its
+    connection's {!Service.batch}, answers PING/STATS inline, awaits the
+    round's rendezvous, and writes every response in request order before
+    reading again — so responses never interleave within a connection and
+    ids stay matchable.
 
     Shutdown ({!shutdown}, idempotent, callable from a signal handler or
     another domain) proceeds strictly: stop accepting (close the listener),
@@ -26,14 +29,20 @@ type t = {
       (** reject INSERT/DELETE with ERROR — the replica's guard: its
           contents are owned by the log stream from the primary, and a
           local mutation would silently diverge from it *)
+  max_conns : int;
+  live : int Atomic.t;  (** connection handlers running *)
   stopping : bool Atomic.t;
   conns_m : Mutex.t;
   mutable conns : (Unix.file_descr * unit Domain.t) list;
   obs : Oa_obs.Recorder.t option;
 }
 
+(** [max_conns] defaults to 64: with the shard workers, the signal
+    watcher and a replica's follower, that stays well under OCaml's limit
+    of 128 live domains. *)
 let create ?(port = 0) ?(backlog = 64) ?(max_pipeline = 256)
-    ?(read_only = false) ~service () =
+    ?(read_only = false) ?(max_conns = 64) ~service () =
+  if max_conns <= 0 then invalid_arg "Server.create: max_conns must be positive";
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   (try
@@ -53,6 +62,8 @@ let create ?(port = 0) ?(backlog = 64) ?(max_pipeline = 256)
     port;
     max_pipeline;
     read_only;
+    max_conns;
+    live = Atomic.make 0;
     stopping = Atomic.make false;
     conns_m = Mutex.create ();
     conns = [];
@@ -70,18 +81,14 @@ let obs_incr t ev =
 let rec_incr o ev =
   match o with None -> () | Some r -> Oa_obs.Recorder.incr r ev
 
-(* One request of a pipelined batch, as submitted: either waiting on a
-   shard worker, or answered inline. *)
+(* One request of a pipelined batch, as read: either staged for a shard
+   worker, or answered inline. *)
 type slot =
   | Pending of Service.item
   | Immediate of Protocol.body
 
 let classify t batch (req : Protocol.request) =
-  let submit kind key =
-    match Service.submit t.service batch kind key with
-    | Some item -> Pending item
-    | None -> Immediate Protocol.Busy
-  in
+  let submit kind key = Pending (Service.stage t.service batch kind key) in
   match req.Protocol.op with
   | Protocol.Get k -> submit Service.Get k
   | Protocol.Insert k | Protocol.Delete k when t.read_only ->
@@ -111,8 +118,26 @@ let classify t batch (req : Protocol.request) =
       | Some (ckpt_seq, total, keys) ->
           Immediate (Protocol.Snap_chunk_r { ckpt_seq; total; offset; keys }))
 
+(* A request's reply once its round is done; [Req_enq] and [Req_busy] are
+   counted here, after {!Service.await} has published the round and knows
+   which requests the shard queues took. *)
+let reply o = function
+  | Immediate b -> b
+  | Pending item ->
+      if item.Service.busy then begin
+        rec_incr o Oa_obs.Event.Req_busy;
+        Protocol.Busy
+      end
+      else begin
+        rec_incr o Oa_obs.Event.Req_enq;
+        if item.Service.failed then Protocol.Error_r "shard operation failed"
+        else Protocol.Bool item.Service.result
+      end
+
 let handle_conn t conn =
   let o = Oa_obs.Sink.register (Service.sink t.service) in
+  (* one rendezvous for the connection's life, reused every round *)
+  let batch = Service.new_batch () in
   let rec loop () =
     match
       Conn.recv_batch conn ~decode:Protocol.decode_request ~max:t.max_pipeline
@@ -126,28 +151,12 @@ let handle_conn t conn =
           { Protocol.rid = 0; body = Protocol.Error_r (Protocol.error_to_string e) };
         Conn.flush conn
     | `Frames reqs ->
-        let batch = Service.new_batch () in
         let slots = List.map (fun r -> (r, classify t batch r)) reqs in
-        List.iter
-          (fun (_, s) ->
-            match s with
-            | Pending _ -> rec_incr o Oa_obs.Event.Req_enq
-            | Immediate Protocol.Busy -> rec_incr o Oa_obs.Event.Req_busy
-            | Immediate _ -> ())
-          slots;
         Service.await batch;
         List.iter
           (fun ((req : Protocol.request), s) ->
-            let body =
-              match s with
-              | Immediate b -> b
-              | Pending item ->
-                  if item.Service.failed then
-                    Protocol.Error_r "shard operation failed"
-                  else Protocol.Bool item.Service.result
-            in
             Protocol.encode_response (Conn.out conn)
-              { Protocol.rid = req.Protocol.id; body })
+              { Protocol.rid = req.Protocol.id; body = reply o s })
           slots;
         Conn.flush conn;
         loop ()
@@ -156,24 +165,52 @@ let handle_conn t conn =
   Conn.close conn;
   rec_incr o Oa_obs.Event.Conn_close
 
+(* A connection past the cap: one BUSY frame, then close.  The frame is a
+   few bytes into a fresh socket's empty send buffer, so the write does
+   not block the accept loop. *)
+let refuse conn =
+  (try
+     Protocol.encode_response (Conn.out conn) { Protocol.rid = 0; body = Protocol.Busy };
+     Conn.flush conn
+   with Unix.Unix_error _ -> ());
+  Conn.close conn
+
 (** Blocking accept loop; returns once {!shutdown} has run and both the
     connection handlers and the service workers have drained and joined. *)
 let serve t =
+  let spawn conn =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.decr t.live)
+          (fun () -> handle_conn t conn))
+  in
   let rec accept_loop () =
     match Unix.accept t.listen_fd with
     | fd, _ ->
         Unix.setsockopt fd Unix.TCP_NODELAY true;
-        obs_incr t Oa_obs.Event.Conn_open;
         let conn = Conn.make fd in
-        let d = Domain.spawn (fun () -> handle_conn t conn) in
-        Mutex.lock t.conns_m;
-        t.conns <- (fd, d) :: t.conns;
-        Mutex.unlock t.conns_m;
-        (* [shutdown] may have walked the list between [accept] and the
-           insertion above; half-close late arrivals ourselves. *)
-        if Atomic.get t.stopping then
-          (try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-           with Unix.Unix_error _ -> ());
+        (* only this loop increments [live], so the check cannot race
+           past the cap *)
+        (if Atomic.get t.live >= t.max_conns then refuse conn
+         else begin
+           Atomic.incr t.live;
+           match spawn conn with
+           | d ->
+               obs_incr t Oa_obs.Event.Conn_open;
+               Mutex.lock t.conns_m;
+               t.conns <- (fd, d) :: t.conns;
+               Mutex.unlock t.conns_m;
+               (* [shutdown] may have walked the list between [accept] and
+                  the insertion above; half-close late arrivals ourselves. *)
+               if Atomic.get t.stopping then
+                 (try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
+                  with Unix.Unix_error _ -> ())
+           | exception Failure _ ->
+               (* the domain limit, reached below the cap by other domains
+                  of the process *)
+               Atomic.decr t.live;
+               refuse conn
+         end);
         accept_loop ()
     | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
         if Atomic.get t.stopping then () else accept_loop ()

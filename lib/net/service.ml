@@ -13,27 +13,85 @@
     behind a real request path whose tail latency makes reclamation stalls
     visible.
 
-    Completion is by rendezvous: a connection handler groups the requests
-    of one pipelined read into a {!batch}, submits each to its shard's
-    queue, and {!await}s; workers fill per-item results and count the
-    batch down.  Item results are written and read under the batch mutex,
-    which is the required happens-before edge between worker and handler
-    domains. *)
+    Completion is by rendezvous, one pipelined round at a time: a
+    connection handler stages the requests of one pipelined read in its
+    {!batch} ({!stage}), and {!await} hands each shard its share of the
+    round in one {!Shard_queue.push_many} — one queue lock and at most
+    one wakeup per shard per round — then blocks until the workers have
+    counted the round down.  A worker completes each run of consecutive
+    dequeued items from one batch under a single acquisition of the batch
+    mutex, which is the required happens-before edge between worker and
+    handler domains.  A handler keeps one batch for its whole life.
+
+    BUSY rule: what a full queue rejects is a tail of that shard's share;
+    {!await} marks each rejected item [busy] (and [failed]: it never ran,
+    so its [result] is meaningless) and counts it in {!busy_rejections}.
+    The caller learns of a rejection only from [item.busy] after
+    {!await}. *)
 
 module I = Oa_core.Smr_intf
 module Schemes = Oa_smr.Schemes
 
 type op_kind = Get | Insert | Delete
 
-type batch = { bm : Mutex.t; bc : Condition.t; mutable pending : int }
+(* A batch is one connection's rendezvous, reused round after round.
+   Between rounds no worker holds a reference to it, so the staging
+   fields are the handler's alone; [pending] is written by workers under
+   [bm] while a round is in flight. *)
+type batch = {
+  bm : Mutex.t;
+  bc : Condition.t;
+  mutable pending : int;  (** published items not yet completed *)
+  mutable route : route;  (** the service this batch stages for *)
+  mutable staged : item array;  (** this round, in submission order *)
+  mutable staged_shard : int array;  (** each staged item's shard *)
+  mutable n : int;  (** items staged this round *)
+  mutable order : item array;  (** this round grouped by shard *)
+  mutable offsets : int array;  (** per-shard positions in [order] *)
+}
 
-type item = {
+and item = {
   kind : op_kind;
   key : int;
   batch : batch;
   mutable result : bool;
-  mutable failed : bool;  (** the shard operation raised; [result] invalid *)
+  mutable failed : bool;
+      (** [result] is invalid: the shard operation raised, or the request
+          was rejected ([busy]) and never ran *)
+  mutable busy : bool;
+      (** the shard queue was full: not executed, answer BUSY *)
 }
+
+(* What {!await} needs of the service: its shard queues and the BUSY
+   counter. *)
+and route = { queues : item Shard_queue.t array; rejections : int Atomic.t }
+
+let no_route = { queues = [||]; rejections = Atomic.make 0 }
+
+let new_batch () =
+  {
+    bm = Mutex.create ();
+    bc = Condition.create ();
+    pending = 0;
+    route = no_route;
+    staged = [||];
+    staged_shard = [||];
+    n = 0;
+    order = [||];
+    offsets = [||];
+  }
+
+(* Fills free queue slots, idle worker buffers and unused staging slots:
+   never completed, never read. *)
+let dummy_item =
+  {
+    kind = Get;
+    key = 0;
+    batch = new_batch ();
+    result = false;
+    failed = false;
+    busy = false;
+  }
 
 type config = {
   scheme : Schemes.id;
@@ -116,8 +174,8 @@ type t = {
   cfg : config;
   sink : Oa_obs.Sink.t;
   shards : shard array;
+  route : route;
   processed : int Atomic.t;
-  busy : int Atomic.t;
   exec_errors : int Atomic.t;
   wal_records : int Atomic.t;
   wal_fsyncs : int Atomic.t;
@@ -133,8 +191,6 @@ type t = {
    tables' own bucket hash, so shard choice and bucket choice stay
    uncorrelated. *)
 let shard_index ~shards key = ((key * 0x2545F4914F6CDD1D) lsr 33) mod shards
-
-let shard_of t key = t.shards.(shard_index ~shards:t.cfg.shards key)
 
 (* A fixed shard's flat-arena reservation.  Each table node takes one
    line of the arena (a list node's two fields fit one) plus, at most, two
@@ -246,7 +302,7 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
            summary.Oa_store.Recovery.ckpt_keys) )
   in
   ( {
-      queue = Shard_queue.create ~capacity:cfg.queue_capacity;
+      queue = Shard_queue.create ~capacity:cfg.queue_capacity ~dummy:dummy_item;
       register =
         (fun () ->
           let ctx = H.register tbl in
@@ -339,8 +395,9 @@ let create ?(obs = Oa_obs.Sink.create ()) (cfg : config) : t =
     cfg;
     sink = obs;
     shards;
+    route =
+      { queues = Array.map (fun s -> s.queue) shards; rejections = Atomic.make 0 };
     processed = Atomic.make 0;
-    busy = Atomic.make 0;
     exec_errors = Atomic.make 0;
     wal_records = Atomic.make 0;
     wal_fsyncs = Atomic.make 0;
@@ -374,28 +431,43 @@ let worker_loop t (shard : shard) =
   let ops = shard.register () in
   let rec_opt = Oa_obs.Sink.register t.sink in
   let cap = max 1 t.cfg.dequeue_batch in
-  let dummy_batch = { bm = Mutex.create (); bc = Condition.create (); pending = 0 } in
-  let dummy =
-    { kind = Get; key = 0; batch = dummy_batch; result = false; failed = false }
-  in
-  let items = Array.make cap dummy in
+  let items = Array.make cap dummy_item in
   let kinds = Array.make cap Get in
   let keys = Array.make cap 0 in
   let results = Array.make cap false in
   let failed = Array.make cap false in
   let wops = Array.make cap Oa_store.Record.Insert in
   let wkeys = Array.make cap 0 in
-  let complete it result failed =
-    Mutex.lock it.batch.bm;
-    it.result <- result;
-    it.failed <- failed;
-    it.batch.pending <- it.batch.pending - 1;
-    if it.batch.pending = 0 then Condition.signal it.batch.bc;
-    Mutex.unlock it.batch.bm;
-    Atomic.incr t.processed;
-    match rec_opt with
+  (* Complete the [n] dequeued items: each run of consecutive items from
+     one batch under one lock of that batch and at most one signal.  The
+     counters move first, so a client holding its reply already sees its
+     request in STATS [processed].  Once a run's lock is released its
+     batch is the handler's again: only the worker's own [items] slots
+     are touched after that. *)
+  let complete n =
+    Atomic.fetch_and_add t.processed n |> ignore;
+    (match rec_opt with
     | None -> ()
-    | Some r -> Oa_obs.Recorder.incr r Oa_obs.Event.Req_done
+    | Some r -> Oa_obs.Recorder.add r Oa_obs.Event.Req_done n);
+    let i = ref 0 in
+    while !i < n do
+      let b = items.(!i).batch in
+      let j = ref !i in
+      Mutex.lock b.bm;
+      while !j < n && items.(!j).batch == b do
+        let it = items.(!j) in
+        it.result <- results.(!j);
+        it.failed <- failed.(!j);
+        (* drop the reference so a completed item is collectable before
+           this slot's next reuse *)
+        items.(!j) <- dummy_item;
+        incr j
+      done;
+      b.pending <- b.pending - (!j - !i);
+      if b.pending = 0 then Condition.signal b.bc;
+      Mutex.unlock b.bm;
+      i := !j
+    done
   in
   let exec_fallback i =
     match ops.exec kinds.(i) keys.(i) with
@@ -490,12 +562,7 @@ let worker_loop t (shard : shard) =
         (match shard.persist with
         | None -> ()
         | Some st -> log_batch st ~n ~conservative:!conservative);
-        for i = 0 to n - 1 do
-          complete items.(i) results.(i) failed.(i);
-          (* drop the reference so a completed item is collectable before
-             this slot's next reuse *)
-          items.(i) <- dummy
-        done;
+        complete n;
         loop ()
   in
   loop ()
@@ -540,52 +607,115 @@ let stop t =
       t.shards
   end
 
-let new_batch () =
-  { bm = Mutex.create (); bc = Condition.create (); pending = 0 }
+(* Double a full batch's staging buffers; a reused batch stops growing
+   once it has seen its connection's largest round. *)
+let grow (b : batch) =
+  let cap = max 16 (2 * Array.length b.staged) in
+  let staged = Array.make cap dummy_item in
+  Array.blit b.staged 0 staged 0 b.n;
+  let staged_shard = Array.make cap 0 in
+  Array.blit b.staged_shard 0 staged_shard 0 b.n;
+  b.staged <- staged;
+  b.staged_shard <- staged_shard;
+  b.order <- Array.make cap dummy_item
 
-(** [submit t batch kind key] routes the operation to its shard queue.
-    [Some item] joins the batch (await it before reading [item.result]);
-    [None] means the shard queue was full — answer BUSY. *)
-let submit t batch kind key =
-  let item = { kind; key; batch; result = false; failed = false } in
-  Mutex.lock batch.bm;
-  batch.pending <- batch.pending + 1;
-  Mutex.unlock batch.bm;
-  if Shard_queue.try_push (shard_of t key).queue item then Some item
-  else begin
-    Mutex.lock batch.bm;
-    batch.pending <- batch.pending - 1;
-    Mutex.unlock batch.bm;
-    Atomic.incr t.busy;
-    None
+(** [stage t batch kind key] adds the operation to [batch]'s current
+    round and returns its item; nothing reaches a shard before {!await}.
+    Read [item.busy], [item.failed] and [item.result] after {!await}. *)
+let stage t (b : batch) kind key =
+  if b.route != t.route then begin
+    if b.n > 0 then
+      invalid_arg "Service.stage: batch has a round staged for another service";
+    b.route <- t.route;
+    b.offsets <- Array.make (Array.length t.shards) 0
+  end;
+  if b.n = Array.length b.staged then grow b;
+  let item = { kind; key; batch = b; result = false; failed = false; busy = false } in
+  b.staged.(b.n) <- item;
+  b.staged_shard.(b.n) <- shard_index ~shards:t.cfg.shards key;
+  b.n <- b.n + 1;
+  item
+
+(** {!stage} with the signature of the per-request handoff, whose [None]
+    was an immediate BUSY.  Always [Some]: a rejection now shows as
+    [item.busy] after {!await}. *)
+let submit t b kind key = Some (stage t b kind key)
+
+(** Publish the staged round — each shard's share, in submission order,
+    with one {!Shard_queue.push_many} — and block until every accepted
+    item is completed.  The rejected tail of a share is marked [busy] and
+    [failed] and counted in {!busy_rejections}.  The batch is then empty
+    and ready for the next round. *)
+let await (b : batch) =
+  let n = b.n in
+  if n > 0 then begin
+    b.n <- 0;
+    (* counting sort of the round by shard: [offsets.(s)] ends shard
+       [s]'s share in [order], which starts where shard [s-1]'s ends *)
+    let offsets = b.offsets in
+    let shards = Array.length offsets in
+    Array.fill offsets 0 shards 0;
+    for i = 0 to n - 1 do
+      let s = b.staged_shard.(i) in
+      offsets.(s) <- offsets.(s) + 1
+    done;
+    for s = 1 to shards - 1 do
+      offsets.(s) <- offsets.(s) + offsets.(s - 1)
+    done;
+    for i = n - 1 downto 0 do
+      let s = b.staged_shard.(i) in
+      offsets.(s) <- offsets.(s) - 1;
+      b.order.(offsets.(s)) <- b.staged.(i)
+    done;
+    (* [offsets.(s)] now starts shard [s]'s share.  No worker holds this
+       batch between rounds, and the queue mutex publishes [pending]
+       before any worker can complete an item of this round. *)
+    b.pending <- n;
+    let rejected = ref 0 in
+    for s = 0 to shards - 1 do
+      let lo = offsets.(s) in
+      let hi = if s = shards - 1 then n else offsets.(s + 1) in
+      if hi > lo then begin
+        let k =
+          Shard_queue.push_many b.route.queues.(s) b.order ~pos:lo ~len:(hi - lo)
+        in
+        for j = lo + k to hi - 1 do
+          let it = b.order.(j) in
+          it.busy <- true;
+          it.failed <- true
+        done;
+        rejected := !rejected + (hi - lo - k)
+      end
+    done;
+    if !rejected > 0 then
+      Atomic.fetch_and_add b.route.rejections !rejected |> ignore;
+    Mutex.lock b.bm;
+    b.pending <- b.pending - !rejected;
+    while b.pending > 0 do
+      Condition.wait b.bc b.bm
+    done;
+    Mutex.unlock b.bm
   end
-
-let await batch =
-  Mutex.lock batch.bm;
-  while batch.pending > 0 do
-    Condition.wait batch.bc batch.bm
-  done;
-  Mutex.unlock batch.bm
 
 type reply = Done of bool | Rejected | Failed
 
 (** One-shot synchronous call — the library embedding used by
     [examples/echo_shard.ml] and unit tests; connection handlers use
-    {!submit}/{!await} directly to pipeline. *)
+    {!stage}/{!await} directly to pipeline. *)
 let call t kind key =
   let batch = new_batch () in
-  match submit t batch kind key with
-  | None -> Rejected
-  | Some item ->
-      await batch;
-      if item.failed then Failed else Done item.result
+  let item = stage t batch kind key in
+  await batch;
+  if item.busy then Rejected
+  else if item.failed then Failed
+  else Done item.result
 
 (* --- introspection --- *)
 
 let config t = t.cfg
 let sink t = t.sink
 let processed t = Atomic.get t.processed
-let busy_rejections t = Atomic.get t.busy
+let busy_rejections t = Atomic.get t.route.rejections
 let queue_depths t = Array.map (fun s -> Shard_queue.length s.queue) t.shards
 let persistent t = t.cfg.data_dir <> None
 let recovered_records t = t.recovered_records
@@ -662,7 +792,7 @@ let stats_payload t =
     t.cfg.workers_per_shard;
     t.cfg.queue_capacity;
     Atomic.get t.processed;
-    Atomic.get t.busy;
+    Atomic.get t.route.rejections;
     Atomic.get t.exec_errors;
     t.cfg.dequeue_batch;
     chunks_live t;
@@ -724,7 +854,7 @@ let drain_report t : report =
   in
   {
     processed = Atomic.get t.processed;
-    busy = Atomic.get t.busy;
+    busy = Atomic.get t.route.rejections;
     exec_errors = Atomic.get t.exec_errors;
     sizes;
     retired;

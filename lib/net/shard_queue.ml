@@ -1,21 +1,26 @@
 (** Bounded multi-producer multi-consumer queue between connection
     handlers and shard workers.
 
-    The push side never blocks: a full queue rejects the item and the
-    caller answers BUSY — backpressure by rejection rather than unbounded
-    buffering, so a slow shard surfaces as client-visible latency/BUSY
-    instead of memory growth.  The pop side blocks and dequeues in
-    batches, amortizing one mutex acquisition and one cross-domain cache
-    transfer over up to [max] requests.
+    The push side never blocks: a full queue rejects what does not fit
+    and the caller answers BUSY — backpressure by rejection rather than
+    unbounded buffering, so a slow shard surfaces as client-visible
+    latency/BUSY instead of memory growth.  Producers push a whole
+    pipelined round's share for this shard at once ({!push_many}): one
+    mutex acquisition and at most one wakeup per round, and the rejected
+    requests are always a tail of the share, so the accepted ones keep
+    their submission order.  The pop side blocks and dequeues in batches,
+    amortizing one mutex acquisition and one cross-domain cache transfer
+    over up to [max] requests.
 
-    A plain mutex + condition protects a ring buffer.  The queue carries
-    one item per in-flight request; at service rates the handoff cost is
-    dominated by the cross-domain transfer either way, and the mutex keeps
-    the close/drain semantics obvious: after {!close}, pushes fail and
-    pops drain the remainder, then return [[]]. *)
+    A plain mutex + condition protects a ring buffer of bare items; free
+    slots hold the [dummy] given at {!create}, so a dequeued item is not
+    kept alive by the ring.  The mutex keeps the close/drain semantics
+    obvious: after {!close}, pushes fail and pops drain the remainder,
+    then return [(0, 0)]. *)
 
 type 'a t = {
-  buf : 'a option array;
+  buf : 'a array;
+  dummy : 'a;
   mutable head : int;  (** index of the oldest item *)
   mutable len : int;
   mutable closed : bool;
@@ -23,10 +28,11 @@ type 'a t = {
   nonempty : Condition.t;
 }
 
-let create ~capacity =
+let create ~capacity ~dummy =
   if capacity <= 0 then invalid_arg "Shard_queue.create";
   {
-    buf = Array.make capacity None;
+    buf = Array.make capacity dummy;
+    dummy;
     head = 0;
     len = 0;
     closed = false;
@@ -36,52 +42,29 @@ let create ~capacity =
 
 let capacity t = Array.length t.buf
 
-(** [try_push t x] enqueues [x], or returns [false] when the queue is full
-    or closed.  Never blocks. *)
-let try_push t x =
+(** [push_many t src ~pos ~len] enqueues the longest prefix of
+    [src.(pos .. pos+len-1)] that fits and returns its length: [len] when
+    everything fit, less when the queue filled up, [0] when it is closed.
+    Never blocks; signals one consumer when anything was enqueued. *)
+let push_many t src ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length src then
+    invalid_arg "Shard_queue.push_many";
   Mutex.lock t.m;
-  let ok = (not t.closed) && t.len < Array.length t.buf in
-  if ok then begin
-    t.buf.((t.head + t.len) mod Array.length t.buf) <- Some x;
-    t.len <- t.len + 1;
-    Condition.signal t.nonempty
-  end;
-  Mutex.unlock t.m;
-  ok
-
-(** [pop_batch t ~max] blocks until items are available, then dequeues up
-    to [max] of them in FIFO order, also reporting the queue depth seen at
-    dequeue time (before removal).  Returns [([], 0)] only once the queue
-    is closed and drained. *)
-let pop_batch t ~max =
-  if max <= 0 then invalid_arg "Shard_queue.pop_batch";
-  Mutex.lock t.m;
-  while t.len = 0 && not t.closed do
-    Condition.wait t.nonempty t.m
+  let cap = Array.length t.buf in
+  let k = if t.closed then 0 else min len (cap - t.len) in
+  for j = 0 to k - 1 do
+    t.buf.((t.head + t.len + j) mod cap) <- src.(pos + j)
   done;
-  let depth = t.len in
-  let k = min max t.len in
-  let items = ref [] in
-  for _ = 1 to k do
-    let i = t.head in
-    (match t.buf.(i) with
-    | Some x -> items := x :: !items
-    | None -> assert false);
-    t.buf.(i) <- None;
-    t.head <- (i + 1) mod Array.length t.buf;
-    t.len <- t.len - 1
-  done;
-  (* Items may remain (len > max): hand the wakeup on to another worker
-     rather than letting it wait for the next push. *)
-  if t.len > 0 then Condition.signal t.nonempty;
+  t.len <- t.len + k;
+  if k > 0 then Condition.signal t.nonempty;
   Mutex.unlock t.m;
-  (List.rev !items, depth)
+  k
 
-(** [pop_batch_into t dst ~max] is {!pop_batch} without the list: items
-    are written into [dst.(0 .. k-1)] (a preallocated per-worker buffer,
-    reused across rendezvous) and [(k, depth)] returned — the worker
-    loop's allocation-free dequeue.  [(0, _)] only once closed and
-    drained. *)
+(** [pop_batch_into t dst ~max] blocks until items are available, then
+    dequeues up to [max] of them in FIFO order into [dst.(0 .. k-1)] (a
+    preallocated per-worker buffer, reused across rendezvous) and returns
+    [(k, depth)], [depth] being the queue depth seen at dequeue time
+    (before removal).  [(0, _)] only once closed and drained. *)
 let pop_batch_into t dst ~max =
   if max <= 0 || max > Array.length dst then
     invalid_arg "Shard_queue.pop_batch_into";
@@ -93,13 +76,13 @@ let pop_batch_into t dst ~max =
   let k = min max t.len in
   for j = 0 to k - 1 do
     let i = t.head in
-    (match t.buf.(i) with
-    | Some x -> dst.(j) <- x
-    | None -> assert false);
-    t.buf.(i) <- None;
+    dst.(j) <- t.buf.(i);
+    t.buf.(i) <- t.dummy;
     t.head <- (i + 1) mod Array.length t.buf;
     t.len <- t.len - 1
   done;
+  (* Items may remain (len > max): hand the wakeup on to another worker
+     rather than letting it wait for the next push. *)
   if t.len > 0 then Condition.signal t.nonempty;
   Mutex.unlock t.m;
   (k, depth)
@@ -111,7 +94,7 @@ let length t =
   n
 
 (** Reject further pushes and wake every blocked consumer; already-queued
-    items are still drained by {!pop_batch}. *)
+    items are still drained by {!pop_batch_into}. *)
 let close t =
   Mutex.lock t.m;
   t.closed <- true;

@@ -28,10 +28,13 @@
 
     - {!Conn_open} / {!Conn_close} — a client connection accepted /
       finished (gracefully or on error).
-    - {!Req_enq} — a request accepted into a shard queue.
-    - {!Req_done} — a response produced by a shard worker.
+    - {!Req_enq} — a request accepted into a shard queue; counted by the
+      connection handler once its round's rendezvous is over, when the
+      handoff has settled which requests the queues took.
+    - {!Req_done} — a response produced by a shard worker (added once
+      per dequeue).
     - {!Req_busy} — a request rejected with BUSY because its shard queue
-      was full (the backpressure path).
+      was full (the backpressure path); counted with {!Req_enq}.
     - {!Proto_error} — a malformed frame on a connection (the connection
       is closed after an ERROR response, never an escaped exception).
 

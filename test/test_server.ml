@@ -369,6 +369,195 @@ let run_committed_gauge () =
     Alcotest.failf "committed %d B = %d node lines + %d B of heads" committed
       nodes heads
 
+(* --- the round handoff --- *)
+
+let small_service ?(shards = 1) ~queue_capacity () =
+  let service =
+    Sv.create
+      {
+        Sv.default_config with
+        Sv.shards;
+        prefill = 0;
+        key_range = 64;
+        queue_capacity;
+        dequeue_batch = queue_capacity;
+      }
+  in
+  Sv.start service;
+  service
+
+(* One round of 10 operations on a single idle shard whose queue holds 3:
+   the queue takes the round's first 3, the other 7 are marked busy and
+   never run, and the BUSY counter says 7. *)
+let run_rejected_tail () =
+  let service = small_service ~queue_capacity:3 () in
+  let batch = Sv.new_batch () in
+  let items = Array.init 10 (fun i -> Sv.stage service batch Sv.Insert (i + 1)) in
+  Sv.await batch;
+  Array.iteri
+    (fun i (it : Sv.item) ->
+      Alcotest.(check bool) (Printf.sprintf "item %d busy" i) (i >= 3) it.busy;
+      if i < 3 then
+        Alcotest.(check bool) (Printf.sprintf "item %d inserted" i) true it.result)
+    items;
+  Alcotest.(check int) "busy counter" 7 (Sv.busy_rejections service);
+  (* the batch is reusable, and the rejected inserts left no trace *)
+  for key = 1 to 10 do
+    let get = Sv.stage service batch Sv.Get key in
+    Sv.await batch;
+    Alcotest.(check bool) (Printf.sprintf "key %d present" key) (key <= 3)
+      get.result
+  done;
+  Sv.stop service
+
+(* A pipeline far larger than the only shard's queue: the queue takes a
+   prefix of the round and the rest is answered BUSY.  Rejected requests
+   must not have run (the model, fed only the non-BUSY replies, matches
+   every reply and the final state), and the three counts of them — BUSY
+   replies, STATS [busy] and the [req_busy] event total — must agree. *)
+let run_busy_pipeline () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let service = small_service ~queue_capacity:4 () in
+  let server = Srv.create ~port:0 ~service () in
+  let serving = Domain.spawn (fun () -> Srv.serve server) in
+  let client = connect (Srv.port server) in
+  let model = Array.make 17 false in
+  let rng = Oa_util.Splitmix.create 42 in
+  let busy_replies = ref 0 in
+  for round = 0 to 19 do
+    let reqs =
+      List.init 64 (fun i ->
+          let key = 1 + Oa_util.Splitmix.below rng 16 in
+          let op =
+            match Oa_util.Splitmix.below rng 3 with
+            | 0 -> P.Get key
+            | 1 -> P.Insert key
+            | _ -> P.Delete key
+          in
+          { P.id = (round * 64) + i; op })
+    in
+    let resps = get_ok (C.call client reqs) in
+    List.iter2
+      (fun (req : P.request) (r : P.response) ->
+        Alcotest.(check int) "reply order" req.id r.rid;
+        match (r.body, req.op) with
+        | P.Busy, _ -> incr busy_replies
+        | P.Bool b, P.Get k -> Alcotest.(check bool) "get" model.(k) b
+        | P.Bool b, P.Insert k ->
+            Alcotest.(check bool) "insert" (not model.(k)) b;
+            model.(k) <- true
+        | P.Bool b, P.Delete k ->
+            Alcotest.(check bool) "delete" model.(k) b;
+            model.(k) <- false
+        | b, _ -> Alcotest.failf "unexpected %s" (P.body_to_string b))
+      reqs resps
+  done;
+  if !busy_replies = 0 then Alcotest.fail "no request was rejected";
+  for k = 1 to 16 do
+    match get_ok (C.call_one client { P.id = k; op = P.Get k }) with
+    | { P.body = P.Bool b; _ } ->
+        Alcotest.(check bool) (Printf.sprintf "final state of key %d" k) model.(k) b
+    | r -> Alcotest.failf "sweep: %s" (P.body_to_string r.P.body)
+  done;
+  (match get_ok (C.call_one client { P.id = 0; op = P.Stats }) with
+  | { P.body = P.Stats_r vs; _ } ->
+      Alcotest.(check int) "STATS busy = BUSY replies" !busy_replies vs.(5)
+  | r -> Alcotest.failf "stats: %s" (P.body_to_string r.P.body));
+  C.close client;
+  Srv.shutdown server;
+  Domain.join serving;
+  Alcotest.(check int) "req_busy = BUSY replies" !busy_replies
+    (Oa_obs.Sink.total (Sv.sink service) Oa_obs.Event.Req_busy)
+
+(* The replica applies the primary's log through apply_muts, on a
+   service whose queues hold 2 records each, so most rounds are cut short
+   and retried.  Each trial stages, on shard 0, two inserts that fill its
+   queue and then an insert of [c]; then a run of records for shard 1,
+   which gives shard 0's worker time to drain; then the delete of [c].
+   Pushed one by one, the insert of [c] would bounce off the full queue
+   and the delete would find room: the retry would then apply the insert
+   last and leave [c] present.  The replica must instead end each trial
+   with exactly what applying the records one by one leaves. *)
+let run_replica_order () =
+  let service = small_service ~shards:2 ~queue_capacity:2 () in
+  let on_shard s n =
+    let rec go k acc n =
+      if n = 0 then List.rev acc
+      else if Sv.shard_index ~shards:2 k = s then go (k + 1) (k :: acc) (n - 1)
+      else go (k + 1) acc n
+    in
+    go 1 [] n
+  in
+  let x, y, c =
+    match on_shard 0 3 with [ x; y; c ] -> (x, y, c) | _ -> assert false
+  in
+  let fillers = on_shard 1 20 in
+  let model = Hashtbl.create 32 in
+  for trial = 1 to 20 do
+    let flip k = if trial mod 2 = 0 then (Sv.Insert, k) else (Sv.Delete, k) in
+    let muts =
+      [ flip x; flip y; (Sv.Insert, c) ]
+      @ List.concat (List.init 5 (fun _ -> List.map flip fillers))
+      @ [ (Sv.Delete, c) ]
+    in
+    List.iter (fun (kind, k) -> Hashtbl.replace model k (kind = Sv.Insert)) muts;
+    Oa_net.Repl.apply_muts service muts;
+    Hashtbl.iter
+      (fun k present ->
+        match Sv.call service Sv.Get k with
+        | Sv.Done b ->
+            Alcotest.(check bool) (Printf.sprintf "trial %d: key %d" trial k)
+              present b
+        | _ -> Alcotest.failf "get %d not served" k)
+      model
+  done;
+  Sv.stop service
+
+(* With a cap of 2, a third concurrent connection is answered with one
+   BUSY frame and closed; once a connection leaves, a new one is
+   served. *)
+let run_conn_cap () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let service = small_service ~queue_capacity:16 () in
+  let server = Srv.create ~port:0 ~max_conns:2 ~service () in
+  let port = Srv.port server in
+  let serving = Domain.spawn (fun () -> Srv.serve server) in
+  let ping client =
+    match C.call_one client { P.id = 3; op = P.Ping } with
+    | Ok { P.body = P.Pong; _ } -> true
+    | _ -> false
+  in
+  let c1 = connect port and c2 = connect port in
+  Alcotest.(check bool) "first served" true (ping c1);
+  Alcotest.(check bool) "second served" true (ping c2);
+  let c3 = connect port in
+  (match C.recv c3 1 with
+  | Ok [ { P.rid = 0; body = P.Busy } ] -> ()
+  | Ok rs ->
+      Alcotest.failf "past the cap: %s"
+        (String.concat "," (List.map (fun r -> P.body_to_string r.P.body) rs))
+  | Error e -> Alcotest.failf "past the cap: no BUSY frame (%s)" e);
+  Alcotest.(check bool) "then closed" true (Result.is_error (C.recv c3 1));
+  C.close c3;
+  C.close c1;
+  (* c1's handler exits asynchronously: retry until its slot is free *)
+  let rec retry n =
+    let c = connect port in
+    if ping c then c
+    else begin
+      C.close c;
+      if n = 0 then Alcotest.fail "no slot freed after a connection left";
+      Unix.sleepf 0.01;
+      retry (n - 1)
+    end
+  in
+  let c4 = retry 200 in
+  Alcotest.(check bool) "the survivor still served" true (ping c2);
+  C.close c4;
+  C.close c2;
+  Srv.shutdown server;
+  Domain.join serving
+
 let case ?dequeue_batch name scheme =
   Alcotest.test_case name `Quick (fun () -> run_stack ?dequeue_batch scheme)
 
@@ -394,6 +583,17 @@ let () =
           drain_case Schemes.Optimistic_access;
           drain_case Schemes.Hazard_pointers;
           drain_case Schemes.Epoch_based;
+        ] );
+      ( "handoff",
+        [
+          Alcotest.test_case "await rejects the tail of a share" `Quick
+            run_rejected_tail;
+          Alcotest.test_case "BUSY pipeline leaves the model unchanged"
+            `Quick run_busy_pipeline;
+          Alcotest.test_case "replica keeps per-key order under BUSY" `Quick
+            run_replica_order;
+          Alcotest.test_case "connection past the cap gets BUSY" `Quick
+            run_conn_cap;
         ] );
       ( "resources",
         [
