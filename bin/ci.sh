@@ -79,13 +79,13 @@ done
 dune exec bin/oa_cli.exe -- check --scheme oa --churn --batch 4 \
   --seeds 25 --quiet
 
-# Crash-at-batch-boundary recovery checker (docs/persistence.md): logged
-# batches against a durable shard must recover from every batch boundary
-# — clean and with an injected torn tail — to exactly the sequential
-# model, with the retire/reclaim conservation oracle intact across the
-# recovery replay.  The three paper schemes plus VBR.
+# Crash-at-batch-boundary recovery checker (docs/persistence.md): rounds
+# served by a durable one-shard service must recover from every round
+# boundary — clean and with an injected torn tail — to exactly the
+# sequential model, with the retire/reclaim conservation oracle intact
+# across the recovery replay.  All seven schemes, as the churn smoke.
 echo "== oa_cli check crash-recovery smoke"
-for s in oa hp ebr vbr; do
+for s in norecl oa hp ebr anchors rc vbr; do
   dune exec bin/oa_cli.exe -- check --crash-recovery --scheme "$s" \
     --seeds 4 --quiet
 done

@@ -477,8 +477,9 @@ let check_cmd =
       & info [ "crash-recovery" ]
           ~doc:
             "Check crash-at-batch-boundary recovery instead of schedules: \
-             run logged batches against a durable shard, snapshot the WAL \
-             directory after every batch, and verify that recovery from \
+             serve rounds of --batch operations through a durable \
+             one-shard service, snapshot its data directory after every \
+             round, and verify that recovery from \
              each boundary (clean and with an injected torn tail) replays \
              to exactly the sequential model with reclamation conservation \
              intact (docs/persistence.md).  Uses --scheme, --seeds, \
@@ -1254,10 +1255,11 @@ let write_json path buf =
    what the per-scheme amortisation (HP hazard carry, EBR one
    announcement, OA one warning boundary, bucket-sorted traversal reuse)
    feeds on.  [batch = 1] runs the stream per-op; larger sizes go through
-   Hash_table.run_batch with every per-batch buffer preallocated and
-   lent, so the delta against per-op is the schemes' amortisation, not
-   allocator traffic.  Per-thread TSC spans are taken on each domain —
-   the same same-thread-difference discipline the phase timers use. *)
+   Hash_table.run_batch_keyed over preallocated parallel kind/key/result
+   arrays — the call a server worker's [exec_batch] makes — so the delta
+   against per-op is the schemes' amortisation, not allocator traffic.
+   Per-thread TSC spans are taken on each domain — the same
+   same-thread-difference discipline the phase timers use. *)
 type core_run = {
   wall_s : float;  (** the timed [par_run], wall clock *)
   thread_cycles : int array;  (** TSC span of each domain's op loop *)
@@ -1323,18 +1325,22 @@ let core_workload ?obs ~scheme ~threads ~per_thread ~prefill ~batch () =
           | `Delete, key -> ignore (H.delete tbl ctx key)
         done
       else begin
-        let bbuf = Array.init batch (fun _ -> { H.op = `Contains; key = 1 }) in
+        let kinds = Array.make batch `Contains in
         let keys = Array.make batch 0 in
         let scratch = Array.make batch 0 in
         let results = Array.make batch false in
         for g = 0 to groups - 1 do
           for j = 0 to batch - 1 do
             let op, key = next ((g * batch) + j) in
-            let r = bbuf.(j) in
-            r.H.op <- op;
-            r.H.key <- key
+            kinds.(j) <- op;
+            keys.(j) <- key
           done;
-          ignore (H.run_batch tbl ctx ~scratch ~keys ~results bbuf)
+          H.run_batch_keyed tbl ctx ~scratch ~keys (fun i ->
+              results.(i) <-
+                (match kinds.(i) with
+                | `Contains -> H.contains tbl ctx keys.(i)
+                | `Insert -> H.insert tbl ctx keys.(i)
+                | `Delete -> H.delete tbl ctx keys.(i)))
         done
       end;
       thread_cycles.(tid) <- Oa_runtime.Clock.tsc () - c0;
@@ -1397,8 +1403,9 @@ let bench_core_cmd =
           ~doc:
             "Batch sizes for the batched-execution sweep (default 1,16): \
              the same per-thread op stream is executed per-op (batch 1) \
-             or in groups through Hash_table.run_batch, so the deltas \
-             isolate the schemes' batch amortisation.")
+             or in groups through Hash_table.run_batch_keyed, as a server \
+             worker runs them, so the deltas isolate the schemes' batch \
+             amortisation.")
   in
   let run schemes domains ops prefill repeats batches json =
     let check_conservation what st =
@@ -1536,8 +1543,9 @@ let bench_core_cmd =
       Buffer.add_string buf "\n  ],\n"
     end;
     (* Batch-size sweep over the core workload: the same per-thread op
-       stream, executed per-op or in groups through Hash_table.run_batch,
-       so the delta isolates the batched path. *)
+       stream, executed per-op or in groups through
+       Hash_table.run_batch_keyed, so the delta isolates the batched
+       path. *)
     let bench_threads =
       min
         (max 1 (Domain.recommended_domain_count ()))
@@ -1740,8 +1748,9 @@ let profile_cmd =
       value & opt int 16
       & info [ "batch"; "b" ]
           ~doc:
-            "Batch size for Hash_table.run_batch; 1 profiles the per-op \
-             path instead (no batch_overhead phase).")
+            "Batch size for Hash_table.run_batch_keyed, called as a server \
+             worker calls it; 1 profiles the per-op path instead (no \
+             batch_overhead phase).")
   in
   let sample_log2 =
     Arg.(

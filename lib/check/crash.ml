@@ -1,40 +1,41 @@
 (** Crash-at-batch-boundary checking for the durability subsystem
-    (docs/persistence.md): drive a persistent shard through batched
-    operations exactly as a [Service] worker would — execute, append the
-    effective mutations to the WAL, group-commit fsync, only then ack —
-    and at {e every} batch boundary capture the on-disk state, as a crash
-    immediately after the ack would leave it.  Each captured state is
-    then recovered into a fresh table and compared against the sequential
-    model at that boundary:
+    (docs/persistence.md): drive a real one-shard, one-worker
+    {!Oa_net.Service} with a data directory through rounds of operations
+    — each round one {!Oa_net.Service.stage} … {!Oa_net.Service.await},
+    so the worker executes it, appends the effective mutations to the
+    WAL, group-commit fsyncs and only then acks — and at {e every} round
+    boundary capture the on-disk state, as a crash immediately after the
+    ack would leave it.  Each captured state is then recovered by
+    {!Oa_net.Service.create} on a copy of the directory and compared
+    against the sequential model at that boundary:
 
     - {e no acked write lost}: every key the model holds at the boundary
       is present after recovery;
     - {e no unacked write resurrected}: no key absent from the model at
       the boundary is present after recovery;
-    - {e conservation}: after recovery's replay and a final quiesce, the
-      reclaim/retire totals of the recovering table balance
-      ([reclaimed <= retired], [recycled <= retires]) — recovery must
-      not corrupt the scheme's bookkeeping either.
+    - {e conservation}: after recovery's replay and its quiesce, the
+      recovered service's drain report balances reclaim against retire
+      and validates the table — recovery must not corrupt the scheme's
+      bookkeeping either.
 
     Each boundary is additionally checked {e torn}: a partial frame of
-    the next batch's first record is appended to the captured log (the
+    the next round's first record is appended to the captured log (the
     bytes a crash mid-[write(2)] leaves) and recovery must ignore it —
     an unacked write must not be half-resurrected by its torn record.
 
-    Checkpoints are taken every few boundaries (after quiescing the sole
-    mutator, the same protocol the service's single-worker shards use),
-    so the captured states exercise all three recovery shapes: WAL-only,
+    The service checkpoints on its own trigger ([ckpt_every] records,
+    the single-worker quiesce-and-snapshot of the worker loop), so the
+    captured states exercise all three recovery shapes: WAL-only,
     checkpoint-only, and checkpoint + replay.
 
-    Runs on the real backend, single-threaded: crash durability is a
+    Runs on the real backend with one worker: crash durability is a
     property of the log discipline, not of the schedule, and the schedule
     explorer ({!Explore}) already owns the concurrency side.  The scheme
     still matters — recovery replays through the scheme's batched path,
-    and the checker runs for OA, HP and EBR in CI. *)
+    and CI runs the checker for all seven schemes. *)
 
-module I = Oa_core.Smr_intf
 module Schemes = Oa_smr.Schemes
-module Store = Oa_store.Shard_store
+module Sv = Oa_net.Service
 module Record = Oa_store.Record
 module SM = Oa_util.Splitmix
 
@@ -42,12 +43,13 @@ type config = {
   scheme : Schemes.id;
   seeds : int;
   seed0 : int;
-  groups : int;  (** batches per seed — one boundary captured after each *)
-  batch : int;  (** operations per batch *)
+  groups : int;  (** rounds per seed — one boundary captured after each *)
+  batch : int;  (** operations per round *)
   key_range : int;
   prefill : int;
   segment_bytes : int;  (** small, to force rotation under the checker *)
-  ckpt_interval : int;  (** checkpoint every this many batches; 0 never *)
+  ckpt_every : int;
+      (** the live service's checkpoint trigger, in WAL records; 0 never *)
 }
 
 let default_config =
@@ -60,13 +62,15 @@ let default_config =
     key_range = 64;
     prefill = 16;
     segment_bytes = 512;
-    ckpt_interval = 5;
+    ckpt_every = 32;
   }
 
 type outcome = {
   seeds_run : int;
   boundaries : int;  (** boundary states recovered and compared *)
   torn : int;  (** of which re-checked with a torn tail *)
+  from_ckpt : int;  (** recoveries that loaded checkpoint keys *)
+  replaying : int;  (** recoveries that replayed WAL records *)
   replayed : int;  (** WAL records replayed across all recoveries *)
   failures : string list;
 }
@@ -96,90 +100,52 @@ let write_file path data =
   output_string oc data;
   close_out oc
 
-let copy_dir src dst =
+(* Copy shard 0's directory of data dir [src] into data dir [dst]. *)
+let copy_shard src dst =
+  let from = Oa_store.Shard_store.shard_dir ~data_dir:src 0 in
+  let into = Oa_store.Shard_store.shard_dir ~data_dir:dst 0 in
   Unix.mkdir dst 0o755;
+  Unix.mkdir into 0o755;
   Array.iter
-    (fun n -> write_file (Filename.concat dst n) (read_file (Filename.concat src n)))
-    (Sys.readdir src)
+    (fun n -> write_file (Filename.concat into n) (read_file (Filename.concat from n)))
+    (Sys.readdir from);
+  into
 
-(* --- one persistent shard on the real backend --- *)
-
-(* The live side: a hash table + scheme + WAL driven like a single-worker
-   service shard.  [contents] and [quiesce] are quiescent-only, valid
-   here because the checker is the sole mutator. *)
-type live = {
-  exec_batch : n:int -> bool array -> int array -> bool array -> unit;
-      (* ops as parallel arrays: is_insert?, key (a Get-free workload:
-         reads prove nothing about durability) *)
-  quiesce : unit -> unit;
-  contents : unit -> int array;
-  retire_total : unit -> int;
-  reclaim_total : unit -> int;
-  smr_stats : unit -> I.stats;
-}
-
-let smr_cfg =
-  { I.default_config with I.chunk_size = 16; retire_threshold = 8; epoch_threshold = 8 }
-
-let make_table ~scheme ~key_range =
-  let sink = Oa_obs.Sink.create () in
-  let module R = (val Oa_runtime.Real_backend.make ()) in
-  let module Sch = Schemes.Make (R) in
-  let module S = (val Sch.pack scheme) in
-  let module H = Oa_structures.Hash_table.Make (S) in
-  let capacity = (4 * key_range) + 256 in
-  let tbl =
-    H.create ~obs:sink ~capacity ~expected_size:key_range smr_cfg
-  in
-  let ctx = H.register tbl in
+(* The service both sides run: one shard, one worker, a queue and a
+   dequeue bound of one round, so each round is one worker batch — one
+   append and one fsync.  A delta of twice the key range leaves arena
+   room for the whole key set plus the retired nodes that the service's
+   reclamation thresholds (delta / 2) let pile up. *)
+let service_config cfg ~seed ~prefill data_dir =
   {
-    exec_batch =
-      (fun ~n ins keys results ->
-        H.run_batch_keyed tbl ctx ~n ~keys (fun i ->
-            results.(i) <-
-              (if ins.(i) then H.insert tbl ctx keys.(i)
-               else H.delete tbl ctx keys.(i))));
-    quiesce = (fun () -> H.quiesce ctx);
-    contents = (fun () -> Array.of_list (H.to_list tbl));
-    retire_total = (fun () -> Oa_obs.Sink.total sink Oa_obs.Event.Retire);
-    reclaim_total = (fun () -> Oa_obs.Sink.total sink Oa_obs.Event.Reclaim);
-    smr_stats = (fun () -> S.stats (H.smr tbl));
+    Sv.default_config with
+    Sv.scheme = cfg.scheme;
+    shards = 1;
+    workers_per_shard = 1;
+    prefill;
+    key_range = cfg.key_range;
+    delta = 2 * cfg.key_range;
+    chunk_size = 16;
+    queue_capacity = cfg.batch;
+    dequeue_batch = cfg.batch;
+    seed;
+    data_dir = Some data_dir;
+    segment_bytes = cfg.segment_bytes;
+    ckpt_every = cfg.ckpt_every;
   }
 
-(* Recover [dir] into a fresh table of [scheme]; returns (sorted contents,
-   records replayed, conservation verdict). *)
-let recover ~scheme ~key_range dir =
-  let t = make_table ~scheme ~key_range in
-  let cap = 64 in
-  let keys = Array.make cap 0 in
-  let ins = Array.make cap true in
-  let results = Array.make cap false in
-  let n = ref 0 in
-  let flush () =
-    if !n > 0 then begin
-      t.exec_batch ~n:!n ins keys results;
-      n := 0
-    end
-  in
-  let push is_insert k =
-    keys.(!n) <- k;
-    ins.(!n) <- is_insert;
-    incr n;
-    if !n = cap then flush ()
-  in
-  let summary =
-    Oa_store.Recovery.run ~dir
-      ~on_snapshot:(fun ks -> Array.iter (fun k -> push true k) ks)
-      ~on_record:(fun r -> push (r.Record.op = Record.Insert) r.Record.key)
-  in
-  flush ();
-  t.quiesce ();
-  let stats = t.smr_stats () in
-  let conserved =
-    t.reclaim_total () <= t.retire_total ()
-    && stats.I.recycled <= stats.I.retires
-  in
-  (t.contents (), summary.Oa_store.Recovery.replayed, conserved)
+(* Recover data dir [dir] into a fresh service; returns (sorted contents,
+   checkpoint keys loaded, records replayed, conservation verdict).
+   [stop] without [start] closes the WAL — and checkpoints [dir], which
+   is a disposable copy. *)
+let recover cfg ~seed dir =
+  let t = Sv.create (service_config cfg ~seed ~prefill:0 dir) in
+  let got = Sv.contents t in
+  Sv.stop t;
+  ( got,
+    Sv.recovered_ckpt_keys t,
+    Sv.recovered_records t,
+    (Sv.drain_report t).Sv.conservation_ok )
 
 let model_keys model =
   let acc = ref [] in
@@ -195,7 +161,7 @@ let torn_bytes r ~cut =
   Record.encode buf r;
   String.sub (Buffer.contents buf) 0 cut
 
-let run_seed cfg ~seed ~failures =
+let run_seed cfg ~seed ~failures (o : outcome) =
   let root =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -205,143 +171,121 @@ let run_seed cfg ~seed ~failures =
   Unix.mkdir root 0o755;
   Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
   let live_dir = Filename.concat root "live" in
-  let t = make_table ~scheme:cfg.scheme ~key_range:cfg.key_range in
-  let store, _ =
-    Store.open_shard ~data_dir:live_dir ~index:0
-      ~segment_bytes:cfg.segment_bytes ~ckpt_every:0
-      ~on_snapshot:(fun _ -> ()) ~on_record:(fun _ -> ())
-  in
-  let shard_dir = Store.shard_dir ~data_dir:live_dir 0 in
+  let live = Sv.create (service_config cfg ~seed ~prefill:cfg.prefill live_dir) in
   let model = Array.make (cfg.key_range + 1) false in
+  Array.iter (fun k -> model.(k) <- true) (Sv.contents live);
   let rng = SM.create ((seed * 7919) + 17) in
-  let n = cfg.batch in
-  let ins = Array.make n true in
-  let keys = Array.make n 0 in
-  let results = Array.make n false in
-  let wops = Array.make n Record.Insert in
-  let wkeys = Array.make n 0 in
-  (* one batch: draw, execute, compare to the model, log + fsync *)
-  let exec_and_log () =
-    for i = 0 to n - 1 do
-      ins.(i) <- SM.below rng 2 = 0;
-      keys.(i) <- 1 + SM.below rng cfg.key_range
-    done;
-    t.exec_batch ~n ins keys results;
-    let m = ref 0 in
-    for i = 0 to n - 1 do
-      let k = keys.(i) in
-      let expect = if ins.(i) then not model.(k) else model.(k) in
-      if results.(i) <> expect then
-        failures :=
-          Printf.sprintf
-            "seed %d: batch result diverges from sequential model (%s %d: got %b, want %b)"
-            seed
-            (if ins.(i) then "insert" else "delete")
-            k results.(i) expect
-          :: !failures;
-      if ins.(i) then model.(k) <- true else model.(k) <- false;
-      if results.(i) then begin
-        wops.(!m) <- (if ins.(i) then Record.Insert else Record.Delete);
-        wkeys.(!m) <- k;
-        incr m
-      end
-    done;
-    if !m > 0 then begin
-      let last, _ = Store.append store ~n:!m wops wkeys in
-      ignore (Store.sync store ~upto:last)
-    end
+  let round = Sv.new_batch () in
+  let fail msg = failures := Printf.sprintf "seed %d: %s" seed msg :: !failures in
+  (* one round: draw, stage, await the ack, compare to the model *)
+  let exec_round () =
+    let items =
+      Array.init cfg.batch (fun _ ->
+          let kind = if SM.below rng 2 = 0 then Sv.Insert else Sv.Delete in
+          Sv.stage live round kind (1 + SM.below rng cfg.key_range))
+    in
+    Sv.await round;
+    Array.iter
+      (fun (it : Sv.item) ->
+        let k = it.Sv.key and ins = it.Sv.kind = Sv.Insert in
+        let expect = if ins then not model.(k) else model.(k) in
+        if it.Sv.busy || it.Sv.failed then
+          fail (Printf.sprintf "%s %d was not executed" (if ins then "insert" else "delete") k)
+        else if it.Sv.result <> expect then
+          fail
+            (Printf.sprintf
+               "round result diverges from sequential model (%s %d: got %b, want %b)"
+               (if ins then "insert" else "delete")
+               k it.Sv.result expect);
+        model.(k) <- ins)
+      items
   in
-  (* prefill, logged like the service's (one append + sync) *)
-  if cfg.prefill > 0 then begin
-    let pkeys = Array.init cfg.prefill (fun i -> i + 1) in
-    let pins = Array.make cfg.prefill true in
-    let pres = Array.make cfg.prefill false in
-    t.exec_batch ~n:cfg.prefill pins pkeys pres;
-    Array.iter (fun k -> model.(k) <- true) pkeys;
-    let pops = Array.make cfg.prefill Record.Insert in
-    let last, _ = Store.append store ~n:cfg.prefill pops pkeys in
-    ignore (Store.sync store ~upto:last)
-  end;
-  let boundaries = ref 0 and torn = ref 0 and replayed_total = ref 0 in
   let snapshots = ref [] in
-  for g = 0 to cfg.groups - 1 do
-    exec_and_log ();
-    if cfg.ckpt_interval > 0 && (g + 1) mod cfg.ckpt_interval = 0 then begin
-      t.quiesce ();
-      ignore (Store.checkpoint store ~keys:(t.contents ()) ~gauges:[])
-    end;
-    (* capture the boundary: exactly the bytes a crash after this batch's
-       ack would find *)
-    let saved = Filename.concat root (Printf.sprintf "boundary-%d" g) in
-    copy_dir shard_dir saved;
-    snapshots := (g, saved, model_keys model) :: !snapshots
-  done;
-  Store.close store;
+  Fun.protect ~finally:(fun () -> Sv.stop live) (fun () ->
+      Sv.start live;
+      for g = 0 to cfg.groups - 1 do
+        exec_round ();
+        (* capture the boundary: exactly the bytes a crash after this
+           round's ack would find *)
+        let saved = Filename.concat root (Printf.sprintf "boundary-%d" g) in
+        let shard_dir = copy_shard live_dir saved in
+        snapshots := (g, saved, shard_dir, model_keys model) :: !snapshots
+      done);
   (* recover every boundary, clean and torn *)
-  List.iter
-    (fun (g, saved, expect) ->
-      let check ~label dir =
-        let got, replayed, conserved = recover ~scheme:cfg.scheme ~key_range:cfg.key_range dir in
-        replayed_total := !replayed_total + replayed;
+  List.fold_left
+    (fun (o : outcome) (g, saved, shard_dir, expect) ->
+      let check ~label (o : outcome) dir =
+        let got, ckpt_keys, replayed, conserved = recover cfg ~seed dir in
         if got <> expect then
-          failures :=
-            Printf.sprintf
-              "seed %d boundary %d%s: recovered %d keys, model has %d (acked write lost or unacked resurrected)"
-              seed g label (Array.length got) (Array.length expect)
-            :: !failures;
+          fail
+            (Printf.sprintf
+               "boundary %d%s: recovered %d keys, model has %d (acked write lost or unacked resurrected)"
+               g label (Array.length got) (Array.length expect));
         if not conserved then
-          failures :=
-            Printf.sprintf "seed %d boundary %d%s: conservation violated after recovery"
-              seed g label
-            :: !failures
+          fail (Printf.sprintf "boundary %d%s: conservation violated after recovery" g label);
+        {
+          o with
+          from_ckpt = (o.from_ckpt + if ckpt_keys > 0 then 1 else 0);
+          replaying = (o.replaying + if replayed > 0 then 1 else 0);
+          replayed = o.replayed + replayed;
+        }
       in
-      check ~label:"" saved;
-      incr boundaries;
       (* torn variant: half a frame of the next record appended to the
-         newest segment *)
-      let segs = List.sort compare (Sys.readdir saved |> Array.to_list) in
-      match List.rev (List.filter (fun f -> Filename.check_suffix f ".seg") segs) with
-      | [] -> ()
-      | newest :: _ ->
-          let torn_dir = saved ^ "-torn" in
-          copy_dir saved torn_dir;
-          let cut = 1 + SM.below rng (Record.frame_len - 1) in
-          let extra =
-            torn_bytes { Record.seq = 1_000_000 + g; op = Record.Insert; key = 1 } ~cut
-          in
-          let path = Filename.concat torn_dir newest in
-          write_file path (read_file path ^ extra);
-          check ~label:" (torn)" torn_dir;
-          incr torn)
-    (List.rev !snapshots);
-  (!boundaries, !torn, !replayed_total)
+         newest segment — copied first, since recovering [saved]
+         checkpoints it and drops its segments *)
+      let segs = List.sort compare (Sys.readdir shard_dir |> Array.to_list) in
+      let torn_dir =
+        match List.rev (List.filter (fun f -> Filename.check_suffix f ".seg") segs) with
+        | [] -> None
+        | newest :: _ ->
+            let torn_dir = saved ^ "-torn" in
+            let torn_shard = copy_shard saved torn_dir in
+            let cut = 1 + SM.below rng (Record.frame_len - 1) in
+            let extra =
+              torn_bytes { Record.seq = 1_000_000 + g; op = Record.Insert; key = 1 } ~cut
+            in
+            let path = Filename.concat torn_shard newest in
+            write_file path (read_file path ^ extra);
+            Some torn_dir
+      in
+      let o = check ~label:"" { o with boundaries = o.boundaries + 1 } saved in
+      match torn_dir with
+      | None -> o
+      | Some dir -> check ~label:" (torn)" { o with torn = o.torn + 1 } dir)
+    o (List.rev !snapshots)
 
 (** Run the checker; [Ok outcome] has [failures = []] iff every boundary
     of every seed recovered to exactly its sequential model with
     conservation intact. *)
 let run cfg =
-  if cfg.seeds < 1 || cfg.groups < 1 || cfg.batch < 1 then
+  if cfg.seeds < 1 || cfg.groups < 1 || cfg.batch < 1 || cfg.prefill > cfg.key_range
+  then
     invalid_arg "Oa_check.Crash.run";
   let failures = ref [] in
-  let boundaries = ref 0 and torn = ref 0 and replayed = ref 0 in
-  for s = 0 to cfg.seeds - 1 do
-    let b, t, r = run_seed cfg ~seed:(cfg.seed0 + s) ~failures in
-    boundaries := !boundaries + b;
-    torn := !torn + t;
-    replayed := !replayed + r
-  done;
-  {
-    seeds_run = cfg.seeds;
-    boundaries = !boundaries;
-    torn = !torn;
-    replayed = !replayed;
-    failures = List.rev !failures;
-  }
+  let zero =
+    {
+      seeds_run = cfg.seeds;
+      boundaries = 0;
+      torn = 0;
+      from_ckpt = 0;
+      replaying = 0;
+      replayed = 0;
+      failures = [];
+    }
+  in
+  let o =
+    List.fold_left
+      (fun o s -> run_seed cfg ~seed:(cfg.seed0 + s) ~failures o)
+      zero
+      (List.init cfg.seeds Fun.id)
+  in
+  { o with failures = List.rev !failures }
 
 let pp_outcome ppf o =
   Format.fprintf ppf
-    "%d seeds, %d boundaries recovered (%d also torn), %d records replayed: %s"
-    o.seeds_run o.boundaries o.torn o.replayed
+    "%d seeds, %d boundaries recovered (%d also torn; %d from a checkpoint, \
+     %d replaying %d WAL records): %s"
+    o.seeds_run o.boundaries o.torn o.from_ckpt o.replaying o.replayed
     (match o.failures with
     | [] -> "all recoveries equal the sequential model"
     | fs -> Printf.sprintf "%d FAILURES" (List.length fs))

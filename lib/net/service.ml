@@ -264,7 +264,9 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
            on its bucket: at a 0.75 load factor the marked nodes would
            pile up unretired — invisible to reclamation — until the
            arena ran dry.  The lookup right after each replayed delete
-           is that traversal: it unlinks and retires the node at once. *)
+           is that traversal: it unlinks and retires the node at once.
+           The quiesce after the replay reclaims what it retired: no
+           later operation runs on this registration. *)
         let flush () =
           if !n > 0 then begin
             let keys = Array.sub rkeys 0 !n in
@@ -292,6 +294,7 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
                 r.Oa_store.Record.key)
         in
         flush ();
+        H.quiesce ctx;
         (match Oa_obs.Sink.register obs with
         | None -> ()
         | Some r ->
@@ -720,6 +723,12 @@ let queue_depths t = Array.map (fun s -> Shard_queue.length s.queue) t.shards
 let persistent t = t.cfg.data_dir <> None
 let recovered_records t = t.recovered_records
 let recovered_ckpt_keys t = t.recovered_ckpt_keys
+
+(** The key set over all shards, sorted; quiescent only. *)
+let contents t =
+  let keys = Array.concat (Array.to_list (Array.map (fun s -> s.contents ()) t.shards)) in
+  Array.sort compare keys;
+  keys
 
 (** Mark the service as a read-only follower: purely informational (the
     server's read-only guard and STATS report it); set by [serve

@@ -50,13 +50,15 @@ let list_segments dir =
       |> List.sort compare
 
 (* fsync the directory so renames/creates/unlinks of segment files are
-   themselves durable; best-effort on filesystems that reject it. *)
+   themselves durable.  Only EINVAL — a filesystem that cannot fsync a
+   directory — is tolerated; any other failure raises, as a failed
+   segment fsync does, rather than let the shard ack writes whose file
+   names may not survive a crash. *)
 let sync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      (try Unix.fsync fd with Unix.Unix_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ())
+  let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> try Unix.fsync fd with Unix.Unix_error (Unix.EINVAL, _, _) -> ())
 
 let mkdir_p dir =
   let rec go d =

@@ -192,71 +192,6 @@ module Make (S : Oa_core.Smr_intf.S) = struct
       L.run_batch ctx n (fun j -> f (Array.unsafe_get order j land mask))
     end
 
-  (* Mutable fields so a steady-state submitter (the bench-core batch
-     sweep, a server worker translating a wire batch) can refill one
-     preallocated record per slot instead of allocating [n] fresh
-     records per batch — at small batches that allocation traffic alone
-     erases the schemes' amortisation win.  Note [Array.make n
-     { op; key }] shares ONE record across all slots; build refillable
-     buffers with [Array.init]. *)
-  type batch_op = { mutable op : [ `Contains | `Insert | `Delete ]; mutable key : int }
-
-  (* Convenience wrapper for callers that just want results back in
-     submission order (the [Service] worker loop).  A steady-state caller
-     should lend all three buffers ([scratch] for the ordering, [keys]
-     and [results] at least [Array.length ops] long): the wrapper then
-     allocates nothing per batch, which is what makes small-batch
-     amortisation a win rather than a GC tax (see docs/performance.md).
-     Undersized or absent buffers degrade to fresh allocations. *)
-  let run_batch t (ctx : ctx) ?scratch ?keys ?results (ops : batch_op array) =
-    let n = Array.length ops in
-    let results =
-      match results with
-      | Some r when Array.length r >= n -> r
-      | _ -> Array.make (max 1 n) false
-    in
-    (* Dispatch closures do the record read and operation in a single
-       hop — routing through [run_batch_keyed] would pay a second
-       closure call per operation, measurable at small batches.  All
-       indices are below [n] and the buffers were length-checked above,
-       so the unsafe accesses are in range. *)
-    if not (S.batch_order_sensitive && sort_worthwhile t n) then
-      (* submission-order dispatch: no key extraction, no sort (see
-         [run_batch_keyed]) *)
-      L.run_batch ctx n (fun j ->
-          let o = Array.unsafe_get ops j in
-          Array.unsafe_set results j
-            (match o.op with
-            | `Contains -> contains t ctx o.key
-            | `Insert -> insert t ctx o.key
-            | `Delete -> delete t ctx o.key))
-    else begin
-      let keys =
-        match keys with
-        | Some k when Array.length k >= n ->
-            for i = 0 to n - 1 do
-              Array.unsafe_set k i (Array.unsafe_get ops i).key
-            done;
-            k
-        | _ -> Array.map (fun o -> o.key) ops
-      in
-      let order =
-        match scratch with
-        | Some a when Array.length a >= n -> a
-        | _ -> Array.make (max 1 n) 0
-      in
-      let mask = sort_order t ~n ~keys order in
-      L.run_batch ctx n (fun j ->
-          let i = Array.unsafe_get order j land mask in
-          let o = Array.unsafe_get ops i in
-          Array.unsafe_set results i
-            (match o.op with
-            | `Contains -> contains t ctx o.key
-            | `Insert -> insert t ctx o.key
-            | `Delete -> delete t ctx o.key))
-    end;
-    results
-
   (* --- Quiescent helpers --- *)
 
   let to_list t =

@@ -1,5 +1,5 @@
 (* Differential tests for the batched execution path
-   (Smr_intf.S.run_batch / Hash_table.run_batch):
+   (Smr_intf.S.run_batch / Hash_table.run_batch_keyed):
 
    the same random operation sequence is executed three ways — through the
    batched path, one operation at a time, and against a sequential IntSet
@@ -97,22 +97,26 @@ let run_hash (module R : Oa_runtime.Runtime_intf.S) id ~batch ops =
               | Del -> H.delete tbl ctx key))
           opsa
       else begin
+        (* the server worker's shape: max-sized kind/key buffers, the
+           first [b] entries live *)
+        let kinds = Array.make batch C in
+        let keys = Array.make batch 0 in
+        let scratch = Array.make batch 0 in
         let i = ref 0 in
         while !i < n do
           let base = !i in
           let b = min batch (n - base) in
-          let group =
-            Array.init b (fun j ->
-                let o, key = opsa.(base + j) in
-                let op =
-                  match o with
-                  | C -> `Contains
-                  | Ins -> `Insert
-                  | Del -> `Delete
-                in
-                { H.op; key })
-          in
-          Array.blit (H.run_batch tbl ctx group) 0 results base b;
+          for j = 0 to b - 1 do
+            let o, key = opsa.(base + j) in
+            kinds.(j) <- o;
+            keys.(j) <- key
+          done;
+          H.run_batch_keyed tbl ctx ~n:b ~scratch ~keys (fun j ->
+              results.(base + j) <-
+                (match kinds.(j) with
+                | C -> H.contains tbl ctx keys.(j)
+                | Ins -> H.insert tbl ctx keys.(j)
+                | Del -> H.delete tbl ctx keys.(j)));
           i := base + b
         done
       end;
@@ -288,19 +292,23 @@ let concurrent_smoke id () =
   R.par_run ~n:threads (fun tid ->
       let ctx = H.register tbl in
       let rng = SM.create (100 + (tid * 7919)) in
-      let buf = Array.make bsize { H.op = `Contains; key = 1 } in
+      let kinds = Array.make bsize C in
+      let keys = Array.make bsize 0 in
       for _ = 1 to per_thread_batches do
         for j = 0 to bsize - 1 do
-          let key = 1 + SM.below rng key_range in
-          let op =
-            match SM.below rng 10 with
-            | 0 | 1 | 2 | 3 | 4 | 5 -> `Contains
-            | 6 | 7 -> `Insert
-            | _ -> `Delete
-          in
-          buf.(j) <- { H.op; key }
+          keys.(j) <- 1 + SM.below rng key_range;
+          kinds.(j) <-
+            (match SM.below rng 10 with
+            | 0 | 1 | 2 | 3 | 4 | 5 -> C
+            | 6 | 7 -> Ins
+            | _ -> Del)
         done;
-        ignore (H.run_batch tbl ctx buf)
+        H.run_batch_keyed tbl ctx ~keys (fun j ->
+            ignore
+              (match kinds.(j) with
+              | C -> H.contains tbl ctx keys.(j)
+              | Ins -> H.insert tbl ctx keys.(j)
+              | Del -> H.delete tbl ctx keys.(j)))
       done;
       H.quiesce ctx);
   (match H.validate tbl ~limit:(10 * capacity) with

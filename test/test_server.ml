@@ -369,6 +369,51 @@ let run_committed_gauge () =
     Alcotest.failf "committed %d B = %d node lines + %d B of heads" committed
       nodes heads
 
+(* The elastic arena ([serve --elastic]): shards on Oa_alloc chunks
+   instead of a fixed reservation answer every call as the sequential
+   model does, and drain to a valid table with conservation intact. *)
+let run_elastic scheme () =
+  let key_range = 256 in
+  let service =
+    Sv.create
+      {
+        Sv.default_config with
+        Sv.scheme;
+        shards = 2;
+        prefill = 0;
+        key_range;
+        elastic = true;
+      }
+  in
+  Sv.start service;
+  let model = Array.make (key_range + 1) false in
+  let rng = Oa_util.Splitmix.create 5 in
+  for _ = 1 to 3_000 do
+    let key = 1 + Oa_util.Splitmix.below rng key_range in
+    let kind, want, after =
+      match Oa_util.Splitmix.below rng 3 with
+      | 0 -> (Sv.Get, model.(key), model.(key))
+      | 1 -> (Sv.Insert, not model.(key), true)
+      | _ -> (Sv.Delete, model.(key), false)
+    in
+    (match Sv.call service kind key with
+    | Sv.Done got when got = want -> ()
+    | Sv.Done _ -> Alcotest.failf "key %d: reply diverges from the model" key
+    | Sv.Rejected | Sv.Failed -> Alcotest.failf "key %d: not executed" key);
+    model.(key) <- after
+  done;
+  Sv.stop service;
+  let r = Sv.drain_report service in
+  (match r.Sv.validation with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "validation: %s" e);
+  Alcotest.(check bool) "conservation" true r.Sv.conservation_ok;
+  Alcotest.(check bool) "deletes retired nodes" true (r.Sv.retired > 0);
+  Alcotest.(check (array int))
+    "contents = model"
+    (Array.of_list (List.filter (fun k -> model.(k)) (List.init key_range succ)))
+    (Sv.contents service)
+
 (* --- the round handoff --- *)
 
 let small_service ?(shards = 1) ~queue_capacity () =
@@ -604,4 +649,14 @@ let () =
           Alcotest.test_case "committed gauge counts bucket heads" `Quick
             run_committed_gauge;
         ] );
+      ( "elastic",
+        List.map
+          (fun scheme ->
+            Alcotest.test_case (Schemes.id_name scheme) `Quick
+              (run_elastic scheme))
+          [
+            Schemes.Optimistic_access;
+            Schemes.Hazard_pointers;
+            Schemes.Epoch_based;
+          ] );
     ]

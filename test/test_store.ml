@@ -177,6 +177,15 @@ let test_wal_torn_tail () =
   Alcotest.(check int) "the tear is reported" 1 (List.length scan.W.tears);
   Alcotest.(check int) "last_seq stops at the tear" 5 scan.W.scan_last_seq
 
+(* A directory fsync that cannot run is an error, not a no-op: only a
+   filesystem's EINVAL (no directory fsync) is tolerated. *)
+let test_sync_dir_missing () =
+  with_dir @@ fun dir ->
+  W.sync_dir dir;
+  match W.sync_dir (Filename.concat dir "missing") with
+  | () -> Alcotest.fail "sync_dir on a missing directory returned"
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
 (* --- checkpoint --- *)
 
 let test_checkpoint_roundtrip () =
@@ -334,7 +343,10 @@ let test_replay_delete_heavy () =
   Alcotest.(check (array bool)) "recovered state equals the model" model got;
   Sv.stop service;
   let r = Sv.drain_report service in
-  if not r.Sv.conservation_ok then Alcotest.fail "conservation"
+  if not r.Sv.conservation_ok then Alcotest.fail "conservation";
+  (* recovery quiesces its registration after the replay, and the worker
+     quiesces its own at stop: no retired node is left unreclaimed *)
+  Alcotest.(check int) "retired nodes all reclaimed" r.Sv.retired r.Sv.reclaimed
 
 (* --- replica convergence over loopback --- *)
 
@@ -419,6 +431,8 @@ let () =
             test_wal_roundtrip;
           Alcotest.test_case "torn tail is truncated, not misread" `Quick
             test_wal_torn_tail;
+          Alcotest.test_case "sync_dir on a missing directory raises" `Quick
+            test_sync_dir_missing;
         ] );
       ( "checkpoint",
         [
