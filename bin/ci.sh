@@ -225,6 +225,35 @@ rm -f bench_server_oa_b1.json bench_server_oa_b64.json \
 echo "== BENCH_server.json"
 cat BENCH_server.json
 
+# Store-failure smoke (docs/persistence.md): the data directory of a
+# durable one-shard server is removed one second into a load run.  Appends
+# go on into the open segment until it fills; the rotation after that
+# cannot create the next one.  The shard must answer that round and every
+# later mutation as failed, so loadgen returns, and serve must exit
+# nonzero with one line naming the shard instead of hanging.  Both are
+# bounded by timeout, with a SIGKILL after it: a hung serve ignores
+# SIGTERM, because its shutdown waits for the lost worker.
+echo "== store-failure smoke"
+OA_FAIL_DIR=$(mktemp -d "${TMPDIR:-/tmp}/oa-ci-fail.XXXXXX")
+timeout -k 2 20 ./_build/default/bin/oa_cli.exe serve --scheme oa \
+  --shards 1 --port "$OA_SMOKE_PORT" --data-dir "$OA_FAIL_DIR/data" \
+  --segment-bytes 4096 --duration 8 2> "$OA_FAIL_DIR/serve.err" &
+OA_SERVE_PID=$!
+sleep 1
+# rename first: rm -rf alone races the segments the server keeps creating
+( sleep 1; mv "$OA_FAIL_DIR/data" "$OA_FAIL_DIR/gone" ) &
+OA_RM_PID=$!
+timeout -k 2 10 ./_build/default/bin/oa_cli.exe loadgen \
+  --port "$OA_SMOKE_PORT" --conns 1 --duration 3 --json -
+wait "$OA_RM_PID"
+OA_SERVE_RC=0
+wait "$OA_SERVE_PID" || OA_SERVE_RC=$?
+cat "$OA_FAIL_DIR/serve.err"
+test "$OA_SERVE_RC" = 1
+test "$(grep -c 'shard 0 went read-only' "$OA_FAIL_DIR/serve.err")" = 1
+rm -rf "$OA_FAIL_DIR"
+OA_SMOKE_PORT=$(( OA_SMOKE_PORT + 1 ))
+
 # Core benchmark smoke (docs/performance.md): bounded hash-table
 # throughput sweep plus the batched-execution sweep on the real backend,
 # over the full seven-scheme matrix — BENCH_core.json carries a

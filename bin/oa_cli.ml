@@ -908,7 +908,15 @@ let serve_cmd =
     if not report.Sv.conservation_ok then begin
       prerr_endline "oa_cli serve: reclamation conservation VIOLATED";
       exit 1
-    end
+    end;
+    match Sv.store_errors service with
+    | [] -> ()
+    | errors ->
+        List.iter
+          (fun (i, e) ->
+            Printf.eprintf "oa_cli serve: shard %d went read-only: %s\n" i e)
+          errors;
+        exit 1
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1251,13 +1259,13 @@ let write_json path buf =
    [per_thread] operations (rounded down to whole batches, at least one)
    of a windowed hot-key stream: every 16 operations draw their keys from
    one 32-key span, read-mostly 60/20/20, identical for every batch size
-   at a given tid.  Windows give batches bucket/key locality, which is
-   what the per-scheme amortisation (HP hazard carry, EBR one
-   announcement, OA one warning boundary, bucket-sorted traversal reuse)
-   feeds on.  [batch = 1] runs the stream per-op; larger sizes go through
-   Hash_table.run_batch_keyed over preallocated parallel kind/key/result
-   arrays — the call a server worker's [exec_batch] makes — so the delta
-   against per-op is the schemes' amortisation, not allocator traffic.
+   at a given tid.  Windows give batches key locality, which is what the
+   per-scheme amortisation (HP hazard carry, EBR one announcement, OA one
+   warning boundary) feeds on.  [batch = 1] runs the stream per-op;
+   larger sizes go through Hash_table.run_batch, in submission order,
+   over preallocated parallel kind/key/result arrays — what a server
+   worker's [exec_batch] runs — so the delta against per-op is the
+   schemes' amortisation, not allocator traffic.
    Per-thread TSC spans are taken on each domain — the same
    same-thread-difference discipline the phase timers use. *)
 type core_run = {
@@ -1327,7 +1335,6 @@ let core_workload ?obs ~scheme ~threads ~per_thread ~prefill ~batch () =
       else begin
         let kinds = Array.make batch `Contains in
         let keys = Array.make batch 0 in
-        let scratch = Array.make batch 0 in
         let results = Array.make batch false in
         for g = 0 to groups - 1 do
           for j = 0 to batch - 1 do
@@ -1335,7 +1342,7 @@ let core_workload ?obs ~scheme ~threads ~per_thread ~prefill ~batch () =
             kinds.(j) <- op;
             keys.(j) <- key
           done;
-          H.run_batch_keyed tbl ctx ~scratch ~keys (fun i ->
+          H.run_batch ctx batch (fun i ->
               results.(i) <-
                 (match kinds.(i) with
                 | `Contains -> H.contains tbl ctx keys.(i)
@@ -1403,7 +1410,7 @@ let bench_core_cmd =
           ~doc:
             "Batch sizes for the batched-execution sweep (default 1,16): \
              the same per-thread op stream is executed per-op (batch 1) \
-             or in groups through Hash_table.run_batch_keyed, as a server \
+             or in groups through Hash_table.run_batch, as a server \
              worker runs them, so the deltas isolate the schemes' batch \
              amortisation.")
   in
@@ -1544,7 +1551,7 @@ let bench_core_cmd =
     end;
     (* Batch-size sweep over the core workload: the same per-thread op
        stream, executed per-op or in groups through
-       Hash_table.run_batch_keyed, so the delta isolates the batched
+       Hash_table.run_batch, so the delta isolates the batched
        path. *)
     let bench_threads =
       min
@@ -1748,7 +1755,7 @@ let profile_cmd =
       value & opt int 16
       & info [ "batch"; "b" ]
           ~doc:
-            "Batch size for Hash_table.run_batch_keyed, called as a server \
+            "Batch size for Hash_table.run_batch, called as a server \
              worker calls it; 1 profiles the per-op path instead (no \
              batch_overhead phase).")
   in

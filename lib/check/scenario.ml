@@ -147,15 +147,13 @@ type mode =
   | Replay of (int * int) list
 
 (* Structure-agnostic operation bundle, as in Oa_harness.Experiment.
-   [op_batch keys f] runs thunks [f 0 .. f (n-1)] (with [keys.(i)] the key
-   thunk [i] touches, [n = Array.length keys]) through the structure's
-   batched path — bucket-sorted for the hash table, a plain amortised
-   batch elsewhere. *)
+   [op_batch n f] runs thunks [f 0 .. f (n-1)], in that order, through
+   the structure's batched path. *)
 type ops = {
   op_contains : int -> bool;
   op_insert : int -> bool;
   op_delete : int -> bool;
-  op_batch : int array -> (int -> unit) -> unit;
+  op_batch : int -> (int -> unit) -> unit;
 }
 
 let max_history = 62
@@ -246,7 +244,7 @@ let run ~mode sc =
               op_contains = Ll.contains ctx;
               op_insert = Ll.insert ctx;
               op_delete = Ll.delete ctx;
-              op_batch = (fun keys f -> Ll.run_batch ctx (Array.length keys) f);
+              op_batch = Ll.run_batch ctx;
             }),
           (fun () -> Ll.validate t ~limit:(4 * capacity)),
           (fun () -> Ll.to_list t),
@@ -264,7 +262,7 @@ let run ~mode sc =
               op_contains = H.contains t ctx;
               op_insert = H.insert t ctx;
               op_delete = H.delete t ctx;
-              op_batch = (fun keys f -> H.run_batch_keyed t ctx ~keys f);
+              op_batch = H.run_batch ctx;
             }),
           (fun () -> H.validate t ~limit:(4 * capacity)),
           (fun () -> List.sort compare (H.to_list t)),
@@ -281,7 +279,7 @@ let run ~mode sc =
               op_contains = Sl.contains ctx;
               op_insert = Sl.insert ctx;
               op_delete = Sl.delete ctx;
-              op_batch = (fun keys f -> Sl.run_batch ctx (Array.length keys) f);
+              op_batch = Sl.run_batch ctx;
             }),
           (fun () -> Sl.validate t ~limit:(4 * capacity)),
           (fun () -> Sl.to_list t),
@@ -347,9 +345,9 @@ let run ~mode sc =
           else begin
             (* Chunk the same op stream (same rng draws, in order) into
                groups executed through the structure's batched path; the
-               history events are recorded inside each thunk, so a
-               bucket-reordered batch logs in execution order, which is
-               what Lincheck checks against. *)
+               history events are recorded inside each thunk, so a batch
+               logs in execution order, which is what Lincheck checks
+               against. *)
             let remaining = ref sc.ops_per_thread in
             while !remaining > 0 do
               let n = min sc.batch !remaining in
@@ -358,9 +356,7 @@ let run ~mode sc =
               for i = 0 to n - 1 do
                 specs.(i) <- draw ()
               done;
-              ops.op_batch
-                (Array.map snd specs)
-                (fun i ->
+              ops.op_batch n (fun i ->
                   let kind, key = specs.(i) in
                   record kind key)
             done

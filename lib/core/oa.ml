@@ -150,10 +150,6 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
       done
     end
 
-  (* the warning absorb above is one boundary action; nothing inside the
-     batch cares which order operations run *)
-  let batch_order_sensitive = false
-
   (* Algorithm 1: the read barrier.  Clearing the bit before restarting is
      sound because the restart re-enters the method from scratch and can no
      longer reach nodes retired before the phase began. *)

@@ -276,18 +276,6 @@ module type S = sig
       retain their one-at-a-time semantics: [run_batch ctx 1 f] is
       behaviourally equivalent to [f 0]. *)
 
-  val batch_order_sensitive : bool
-  (** Whether dispatch order inside a batch changes what {!run_batch}
-      can amortise.  [true] for schemes whose protection carries across
-      consecutive operations on the same nodes — HP's published-hazard
-      carry turns a locality-ordered dispatch (the hash table's stable
-      bucket sort) into skipped publish/fence/validate cycles.  [false]
-      when the batch amortisation is order-independent (OA's single
-      warning absorb, EBR's single announcement, the plain-loop
-      schemes): submitters should then skip the ordering work and
-      dispatch in submission order, because at small batches the sort
-      costs more than it can possibly recover. *)
-
   val alloc : ctx -> Ptr.t
   (** Allocate a zeroed node.  May internally run reclamation.  Call it
       inside a generator: a scheme whose reclamation is blocked by the

@@ -139,12 +139,12 @@ let default_config =
   }
 
 (* Per-worker operation bundle; built on the worker's own domain.
-   [exec_batch] executes a whole dequeued batch through the structure's
-   bucket-sorted batched path (Hash_table.run_batch_keyed), returning
-   results in submission order.  Kinds and keys arrive as two parallel
-   arrays of immediates rather than an array of pairs: the batched path
-   competes with a per-op loop that allocates nothing, so it must not
-   pay a tuple and a record per request either. *)
+   [exec_batch] executes a whole dequeued batch, in submission order,
+   through the structure's batched path (Hash_table.run_batch).  Kinds
+   and keys arrive as two parallel arrays of immediates rather than an
+   array of pairs: the batched path competes with a per-op loop that
+   allocates nothing, so it must not pay a tuple and a record per
+   request either. *)
 type worker_ops = {
   exec : op_kind -> int -> bool;
   exec_batch : n:int -> op_kind array -> int array -> bool array -> unit;
@@ -168,6 +168,9 @@ type shard = {
           bytes); cheap atomic reads, safe mid-run *)
   persist : Oa_store.Shard_store.t option;
       (** the shard's WAL + checkpoint bundle when [data_dir] is set *)
+  store_error : string option Atomic.t;
+      (** set by the first WAL or checkpoint error: the shard is
+          read-only from then on *)
 }
 
 type t = {
@@ -268,16 +271,13 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
            The quiesce after the replay reclaims what it retired: no
            later operation runs on this registration. *)
         let flush () =
-          if !n > 0 then begin
-            let keys = Array.sub rkeys 0 !n in
-            H.run_batch_keyed tbl ctx ~keys (fun i ->
-                if rins.(i) then ignore (H.insert tbl ctx keys.(i))
-                else begin
-                  ignore (H.delete tbl ctx keys.(i));
-                  ignore (H.contains tbl ctx keys.(i))
-                end);
-            n := 0
-          end
+          H.run_batch ctx !n (fun i ->
+              if rins.(i) then ignore (H.insert tbl ctx rkeys.(i))
+              else begin
+                ignore (H.delete tbl ctx rkeys.(i));
+                ignore (H.contains tbl ctx rkeys.(i))
+              end);
+          n := 0
         in
         let push is_insert k =
           rkeys.(!n) <- k;
@@ -309,7 +309,6 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
       register =
         (fun () ->
           let ctx = H.register tbl in
-          let scratch = Array.make (max 1 cfg.dequeue_batch) 0 in
           {
             exec =
               (fun kind key ->
@@ -319,7 +318,7 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
                 | Delete -> H.delete tbl ctx key);
             exec_batch =
               (fun ~n kinds keys results ->
-                H.run_batch_keyed tbl ctx ~n ~scratch ~keys (fun i ->
+                H.run_batch ctx n (fun i ->
                     results.(i) <-
                       (match kinds.(i) with
                       | Get -> H.contains tbl ctx keys.(i)
@@ -333,6 +332,7 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
       smr_stats = (fun () -> S.stats (H.smr tbl));
       mem_gauges = (fun () -> H.gauges tbl);
       persist;
+      store_error = Atomic.make None;
     },
     recovered )
 
@@ -425,6 +425,12 @@ let create ?(obs = Oa_obs.Sink.create ()) (cfg : config) : t =
    already-applied prefix in the fallback cannot corrupt state (it can
    only change the boolean answers of that exceptional batch).
 
+   A raise from the log step (a WAL write, fsync, rotation or checkpoint
+   failing) leaves the round's effects of unknown durability: none of its
+   items is acked — all are answered [failed] — and the shard turns
+   read-only ({!store_errors}).  From then on its workers answer every
+   mutation [failed] without executing it and still serve gets.
+
    Every buffer the loop touches per rendezvous — dequeued items, kinds,
    keys, results, the WAL record staging — is a per-worker array
    allocated once and reused, so the steady-state hot path allocates
@@ -472,15 +478,17 @@ let worker_loop t (shard : shard) =
       i := !j
     done
   in
+  let fail i =
+    Atomic.incr t.exec_errors;
+    results.(i) <- false;
+    failed.(i) <- true
+  in
   let exec_fallback i =
     match ops.exec kinds.(i) keys.(i) with
     | r ->
         results.(i) <- r;
         failed.(i) <- false
-    | exception _ ->
-        Atomic.incr t.exec_errors;
-        results.(i) <- false;
-        failed.(i) <- true
+    | exception _ -> fail i
   in
   (* Stage and commit this rendezvous's effective mutations: one append,
      one (often shared) fsync.  [conservative] is set when the fallback
@@ -538,6 +546,30 @@ let worker_loop t (shard : shard) =
       end
     end
   in
+  let execute n =
+    let conservative = ref false in
+    if n >= 2 then begin
+      match ops.exec_batch ~n kinds keys results with
+      | () -> Array.fill failed 0 n false
+      | exception _ ->
+          conservative := true;
+          for i = 0 to n - 1 do
+            exec_fallback i
+          done
+    end
+    else exec_fallback 0;
+    match shard.persist with
+    | None -> ()
+    | Some st -> (
+        try log_batch st ~n ~conservative:!conservative
+        with e ->
+          for i = 0 to n - 1 do
+            if not failed.(i) then fail i
+          done;
+          ignore
+            (Atomic.compare_and_set shard.store_error None
+               (Some (Printexc.to_string e))))
+  in
   let rec loop () =
     match Shard_queue.pop_batch_into shard.queue items ~max:cap with
     | 0, _ -> ops.quiesce ()
@@ -551,20 +583,13 @@ let worker_loop t (shard : shard) =
           kinds.(i) <- items.(i).kind;
           keys.(i) <- items.(i).key
         done;
-        let conservative = ref false in
-        if n >= 2 then begin
-          match ops.exec_batch ~n kinds keys results with
-          | () -> Array.fill failed 0 n false
-          | exception _ ->
-              conservative := true;
-              for i = 0 to n - 1 do
-                exec_fallback i
-              done
-        end
-        else exec_fallback 0;
-        (match shard.persist with
-        | None -> ()
-        | Some st -> log_batch st ~n ~conservative:!conservative);
+        if Atomic.get shard.store_error = None then execute n
+        else
+          for i = 0 to n - 1 do
+            match kinds.(i) with
+            | Get -> exec_fallback i
+            | Insert | Delete -> fail i
+          done;
         complete n;
         loop ()
   in
@@ -586,7 +611,10 @@ let start t =
 
     Persistent shards then write a final checkpoint — the service is
     quiescent, so the snapshot is exact — and close their WALs: a clean
-    shutdown restarts from the checkpoint alone, replaying nothing. *)
+    shutdown restarts from the checkpoint alone, replaying nothing.  A
+    read-only shard ({!store_errors}) skips the checkpoint: its table may
+    hold effects that never reached the log.  A failing final checkpoint
+    is recorded there too rather than raised. *)
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
@@ -599,13 +627,18 @@ let stop t =
         match s.persist with
         | None -> ()
         | Some st ->
-            ignore
-              (Oa_store.Shard_store.checkpoint st ~keys:(s.contents ())
-                 ~gauges:(s.mem_gauges ()));
-            Atomic.incr t.ckpts;
-            (match rec_opt with
-            | None -> ()
-            | Some r -> Oa_obs.Recorder.incr r Oa_obs.Event.Ckpt);
+            (if Atomic.get s.store_error = None then
+               match
+                 Oa_store.Shard_store.checkpoint st ~keys:(s.contents ())
+                   ~gauges:(s.mem_gauges ())
+               with
+               | _ -> (
+                   Atomic.incr t.ckpts;
+                   match rec_opt with
+                   | None -> ()
+                   | Some r -> Oa_obs.Recorder.incr r Oa_obs.Event.Ckpt)
+               | exception e ->
+                   Atomic.set s.store_error (Some (Printexc.to_string e)));
             Oa_store.Shard_store.close st)
       t.shards
   end
@@ -723,6 +756,13 @@ let queue_depths t = Array.map (fun s -> Shard_queue.length s.queue) t.shards
 let persistent t = t.cfg.data_dir <> None
 let recovered_records t = t.recovered_records
 let recovered_ckpt_keys t = t.recovered_ckpt_keys
+
+(** The read-only shards, each with the WAL or checkpoint error that
+    stopped its mutations, in shard order. *)
+let store_errors t =
+  List.filter_map
+    (fun i -> Option.map (fun e -> (i, e)) (Atomic.get t.shards.(i).store_error))
+    (List.init (Array.length t.shards) Fun.id)
 
 (** The key set over all shards, sorted; quiescent only. *)
 let contents t =

@@ -149,9 +149,6 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
       done
     end
 
-  (* anchoring restarts per operation; order inside a batch is moot *)
-  let batch_order_sensitive = false
-
   (* Post an anchor on [v] with HP-style validation against the source
      cell; [post_anchor] then accounts a new anchor interval. *)
   let rec anchor_on ctx cell v =

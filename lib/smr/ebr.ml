@@ -173,9 +173,6 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
       finish ()
     end
 
-  (* one announcement covers the batch regardless of dispatch order *)
-  let batch_order_sensitive = false
-
   (* Advance the global epoch if every active thread observed it. *)
   let try_advance ctx =
     let tr = I.prof_enter ctx.prof Oa_obs.Phase.Reclaim in

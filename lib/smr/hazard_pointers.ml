@@ -112,12 +112,13 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
 
   (* Batched execution: read slots are never cleared at operation end, so
      inside a batch a slot often still publishes exactly the node the next
-     operation's read lands on (bucket-sorted batches make this the common
-     case).  Such a read may keep the hazard without the publish / fence /
-     re-validate cycle: the slot has held the node continuously since a
-     validated publication (or a [protect_move] from one), so no scan since
-     then can have freed it — the carry is as protected as a fresh
-     validation, minus the fence. *)
+     operation's read lands on (whenever consecutive operations, in
+     submission order, revisit a node: a hot key, or another key on the
+     same chain).  Such a read may keep the hazard without the publish /
+     fence / re-validate cycle: the slot has held the node continuously
+     since a validated publication (or a [protect_move] from one), so no
+     scan since then can have freed it — the carry is as protected as a
+     fresh validation, minus the fence. *)
   let run_batch ctx n f =
     if n > 0 then begin
       let t0 = I.prof_enter ctx.prof Oa_obs.Phase.Batch_overhead in
@@ -135,11 +136,6 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
          raise e);
       ctx.in_batch <- false
     end
-
-  (* the carry only fires when consecutive operations revisit a node, so
-     locality-ordered dispatch (the hash table's bucket sort) directly
-     buys skipped fences *)
-  let batch_order_sensitive = true
 
   (* The HP read barrier: publish, fence, validate by re-reading the source
      cell; loop until stable.  Nulls need no protection.  Inside a batch, a

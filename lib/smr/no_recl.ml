@@ -69,9 +69,6 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
       done
     end
 
-  (* nothing per-operation to amortise, a fortiori nothing order-bound *)
-  let batch_order_sensitive = false
-
   let refill ctx =
     let mm = ctx.mm in
     let size = mm.cfg.Oa_core.Smr_intf.chunk_size in

@@ -147,9 +147,6 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
       done
     end
 
-  (* counts are adjusted per read either way; no carry to feed *)
-  let batch_order_sensitive = false
-
   let push_free ctx idx =
     let mm = ctx.mm in
     ctx.s_recycled <- ctx.s_recycled + 1;

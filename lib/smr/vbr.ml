@@ -237,10 +237,6 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
       ctx.in_batch <- false
     end
 
-  (* the boundary observation is order-independent; nothing inside the
-     batch carries protection between consecutive operations *)
-  let batch_order_sensitive = false
-
   let clear_write_hps ctx =
     for i = 0 to ctx.mm.cfg.I.hp_slots - 1 do
       R.write ctx.hps.(i) no_hp

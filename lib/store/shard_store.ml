@@ -75,14 +75,13 @@ let wants_checkpoint t =
     quiescent point covering every appended record) and truncate the WAL
     behind it.  Returns the sequence the checkpoint covers. *)
 let checkpoint t ~keys ~gauges =
-  Mutex.lock t.m;
+  Mutex.protect t.m @@ fun () ->
   let seq = Wal.seal t.wal in
   Checkpoint.write ~dir:t.dir { Checkpoint.seq; keys; gauges };
   Wal.drop_sealed t.wal;
   t.ckpt_seq <- seq;
   t.records_since_ckpt <- 0;
   t.snap_cache <- Some (seq, keys);
-  Mutex.unlock t.m;
   seq
 
 let close t = Wal.close t.wal

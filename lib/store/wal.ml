@@ -116,15 +116,18 @@ let write_all fd data =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-(* Seal the current segment: make it durable, close it, open the next.
-   Caller holds [t.m]. *)
+(* Seal the current segment: make it durable, open the next, close it.
+   The next segment is opened before the old one is closed, so a failed
+   open leaves [t.fd] a live descriptor rather than a closed number the
+   process may reuse.  Caller holds [t.m]. *)
 let rotate_locked t =
   Unix.fsync t.fd;
   t.synced_seq <- t.appended_seq;
-  Unix.close t.fd;
+  let old = t.fd in
+  t.fd <- open_segment t.dir (t.seg_index + 1);
   t.seg_index <- t.seg_index + 1;
-  t.fd <- open_segment t.dir t.seg_index;
   t.seg_len <- 0;
+  Unix.close old;
   sync_dir t.dir
 
 (** [append t ~n ops keys] appends records for the first [n] entries of
@@ -132,10 +135,11 @@ let rotate_locked t =
     [write(2)] for the whole batch.  Returns [(last_seq, rotated)] —
     [rotated] reports that the append sealed a segment (which implies an
     fsync of the records up to that point).  Does {e not} fsync the new
-    records: call {!sync}. *)
+    records: call {!sync}.  Like every locking entry point here, it
+    releases [t.m] when an I/O error escapes. *)
 let append t ~n ops keys =
   if n <= 0 then invalid_arg "Wal.append: empty batch";
-  Mutex.lock t.m;
+  Mutex.protect t.m @@ fun () ->
   Buffer.clear t.buf;
   let cap = Array.length t.tail in
   for i = 0 to n - 1 do
@@ -155,40 +159,32 @@ let append t ~n ops keys =
     end
     else false
   in
-  let last = t.appended_seq in
-  Mutex.unlock t.m;
-  (last, rotated)
+  (t.appended_seq, rotated)
 
 (** Group commit: make every record up to [upto] durable.  Returns
     [false] — no disk touched — when a concurrent sync (or a rotation)
     already covered [upto]; [true] when this call issued the fsync, which
     then covers {e everything appended so far}, letting waiters skip. *)
 let sync t ~upto =
-  Mutex.lock t.m;
-  let issued =
-    if t.synced_seq >= upto then false
-    else begin
-      Unix.fsync t.fd;
-      t.synced_seq <- t.appended_seq;
-      true
-    end
-  in
-  Mutex.unlock t.m;
-  issued
+  Mutex.protect t.m @@ fun () ->
+  if t.synced_seq >= upto then false
+  else begin
+    Unix.fsync t.fd;
+    t.synced_seq <- t.appended_seq;
+    true
+  end
 
 (** Seal the current segment unconditionally (checkpoint prologue): after
     [seal], every appended record lives in a sealed, durable segment. *)
 let seal t =
-  Mutex.lock t.m;
+  Mutex.protect t.m @@ fun () ->
   if t.seg_len > 0 || t.seg_index = 0 then rotate_locked t;
-  let seq = t.appended_seq in
-  Mutex.unlock t.m;
-  seq
+  t.appended_seq
 
 (** Delete every sealed segment (all but the currently-open one); call
     only once a checkpoint covers their records. *)
 let drop_sealed t =
-  Mutex.lock t.m;
+  Mutex.protect t.m @@ fun () ->
   let current = t.seg_index in
   List.iter
     (fun i ->
@@ -196,8 +192,7 @@ let drop_sealed t =
         try Sys.remove (Filename.concat t.dir (segment_name i))
         with Sys_error _ -> ())
     (list_segments t.dir);
-  sync_dir t.dir;
-  Mutex.unlock t.m
+  sync_dir t.dir
 
 let close t =
   Mutex.lock t.m;

@@ -78,119 +78,10 @@ module Make (S : Oa_core.Smr_intf.S) = struct
   let insert t ctx key = L.insert_in ctx ~bucket:(bucket_index t key) key
   let delete t ctx key = L.delete_in ctx ~bucket:(bucket_index t key) key
 
-  (* --- Batched execution --- *)
-
-  (* Run thunks [f 0 .. f (n-1)] — one complete operation each, with
-     [keys.(i)] the key operation [i] touches — as one batch through the
-     scheme's amortised path, in bucket order: consecutive thunks then tend
-     to land on the same chain, so a hazard validated by one operation is
-     still published when the next one's first read hits the same node
-     (the HP carry of [Smr_intf.run_batch]).  The reorder is a {e stable}
-     sort on the bucket index, so operations on the same key — a fortiori
-     the same bucket — keep their submission order, which is what makes a
-     batch observably equivalent to executing its operations one at a time
-     for any single submitter. *)
-  (* [?n] restricts the batch to the first [n] keys (the [Service] worker
-     reuses one max-sized key buffer across rendezvous); [?scratch] lends
-     the ordering buffer, killing the per-batch [order] allocation when the
-     caller can preallocate it (it must be at least [n] long, or it is
-     ignored and a fresh buffer allocated). *)
-  (* Fill [order.(0 .. n-1)] with the stable bucket-sorted dispatch
-     order of [keys.(0 .. n-1)] and return the submission-index mask:
-     [order.(j) land mask] is the submission index to run [j]-th.  Packs
-     [bucket lsl shift lor submission-index] into one int so the stable
-     bucket order falls out of a single monomorphic int sort — the
-     comparator runs O(n log n) times and must not hash or box. *)
-  let sort_order t ~n ~(keys : int array) (order : int array) =
-    let shift =
-      let rec bits b = if n lsr b = 0 then b else bits (b + 1) in
-      bits 0
-    in
-    for i = 0 to n - 1 do
-      order.(i) <- (bucket_index t keys.(i) lsl shift) lor i
-    done;
-    (* Monomorphic in-place sort: [Array.sort Int.compare] pays a closure
-       call per comparison, which at large batches costs more than the
-       traversal reuse the ordering buys.  Insertion sort for the typical
-       small batch (a server dequeue, a pipelined client burst), quicksort
-       with median-of-three pivots above that — every comparison is an
-       inlined integer [<]. *)
-    (* All sort indices stay inside [0, n): [unsafe_get]/[unsafe_set]
-       drop the bounds checks from the O(n log n) inner loops. *)
-    let get i = Array.unsafe_get order i in
-    let set i v = Array.unsafe_set order i v in
-    let insertion lo hi =
-      for i = lo + 1 to hi do
-        let v = get i in
-        let j = ref (i - 1) in
-        while !j >= lo && get !j > v do
-          set (!j + 1) (get !j);
-          decr j
-        done;
-        set (!j + 1) v
-      done
-    in
-    let swap i j =
-      let v = get i in
-      set i (get j);
-      set j v
-    in
-    let rec qsort lo hi =
-      if hi - lo < 24 then insertion lo hi
-      else begin
-        let mid = lo + ((hi - lo) / 2) in
-        if get mid < get lo then swap mid lo;
-        if get hi < get lo then swap hi lo;
-        if get hi < get mid then swap hi mid;
-        let pivot = get mid in
-        let i = ref lo and j = ref hi in
-        while !i <= !j do
-          while get !i < pivot do
-            incr i
-          done;
-          while get !j > pivot do
-            decr j
-          done;
-          if !i <= !j then begin
-            swap !i !j;
-            incr i;
-            decr j
-          end
-        done;
-        qsort lo !j;
-        qsort !i hi
-      end
-    in
-    qsort 0 (n - 1);
-    (1 lsl shift) - 1
-
-  (* The bucket sort only pays back through the scheme's hazard carry,
-     and the carry only fires when two operations of the batch land on
-     the same chain.  Under Fibonacci hashing that is a birthday bound:
-     the expected number of colliding pairs is n(n-1)/2b, so below
-     [n(n-1) >= buckets] a batch almost surely has zero shared chains
-     and the sort is pure overhead — measured at ~10% of batch-16
-     throughput on the default table. *)
-  let sort_worthwhile t n = n * (n - 1) >= t.mask + 1
-
-  let run_batch_keyed t (ctx : ctx) ?n ?scratch ~(keys : int array) f =
-    let n = match n with Some n -> n | None -> Array.length keys in
-    if not (S.batch_order_sensitive && sort_worthwhile t n) then
-      (* either the scheme's amortisation doesn't care about dispatch
-         order (one warning absorb, one epoch announcement), or the
-         batch is too small for shared chains to be likely — submission
-         order stands and the sort is skipped: its cost exceeds
-         anything traversal locality could pay back *)
-      L.run_batch ctx n f
-    else begin
-      let order =
-        match scratch with
-        | Some a when Array.length a >= n -> a
-        | _ -> Array.make (max 1 n) 0
-      in
-      let mask = sort_order t ~n ~keys order in
-      L.run_batch ctx n (fun j -> f (Array.unsafe_get order j land mask))
-    end
+  (* Batched execution through the scheme's amortised path (see
+     Smr_intf.run_batch), in submission order; each thunk must be a
+     complete operation on this context. *)
+  let run_batch (ctx : ctx) n f = L.run_batch ctx n f
 
   (* --- Quiescent helpers --- *)
 

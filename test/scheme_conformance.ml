@@ -8,7 +8,7 @@
    - batched = sequential: the same sequence through [run_batch] and one
      operation at a time produces identical results and final contents —
      a differential qcheck on the linked list, the raw scheme-level
-     batched path with no bucket sorting to hide amortisation bugs;
+     batched path on a single chain;
    - conservation + quiesce: a tight arena (capacity far below total
      allocations) forces every reclaiming scheme to actually recycle —
      completing without [Arena_exhausted] is the proof — and after the

@@ -117,6 +117,37 @@ let test_hp_validation_rereads () =
         done);
   Alcotest.(check bool) "returned value always protected" true !ok
 
+(* The batch carry: two consecutive operations reading the same cell
+   into slot 0.  Outside a batch each read publishes and fences; inside
+   [run_batch] the second finds its target still published by the first
+   and skips the fence. *)
+let test_hp_batch_carry () =
+  let fences ~batched =
+    let r = make () in
+    let module R = (val r) in
+    let module S = Oa_smr.Hazard_pointers.Make (R) in
+    let module A = Oa_mem.Arena.Make (S.R) in
+    let arena = A.create ~capacity:16 ~n_fields:2 in
+    let mm = S.create arena cfg in
+    let ctx = S.register mm in
+    let c = A.field arena (Ptr.of_index 0) 1 in
+    R.write c (Ptr.of_index 7);
+    let op _ =
+      S.op_begin ctx;
+      ignore (S.read_ptr ctx ~hp:0 c);
+      S.op_end ctx
+    in
+    if batched then S.run_batch ctx 2 op
+    else begin
+      op 0;
+      op 1
+    end;
+    (S.stats mm).I.fences
+  in
+  Alcotest.(check int) "per-op: a fence per read" 2 (fences ~batched:false);
+  Alcotest.(check int) "batched: the second read carries" 1
+    (fences ~batched:true)
+
 let test_hp_scan_frees_unprotected_only () =
   let r = make () in
   let module R = (val r) in
@@ -348,6 +379,8 @@ let () =
             test_hp_validation_rereads;
           Alcotest.test_case "scan frees unprotected only" `Quick
             test_hp_scan_frees_unprotected_only;
+          Alcotest.test_case "batch carries a validated hazard" `Quick
+            test_hp_batch_carry;
         ] );
       ( "ebr",
         [

@@ -1,14 +1,13 @@
 (* Differential tests for the batched execution path
-   (Smr_intf.S.run_batch / Hash_table.run_batch_keyed):
+   (Smr_intf.S.run_batch, reached through Hash_table.run_batch):
 
    the same random operation sequence is executed three ways — through the
    batched path, one operation at a time, and against a sequential IntSet
    model — and all three must agree element-wise on the results and on the
-   final contents.  Single-threaded, batching is pure amortisation: the
-   stable bucket sort preserves per-key order, different-key operations
-   commute under set semantics, so any divergence is a bug in a scheme's
-   batch amortisation (a leaked warning bit, a hazard carried past its
-   validity, an epoch announcement skipped).
+   final contents.  Single-threaded, batching is pure amortisation: a
+   batch runs in submission order, so any divergence is a bug in a
+   scheme's batch amortisation (a leaked warning bit, a hazard carried
+   past its validity, an epoch announcement skipped).
 
    The matrix covers all seven schemes on the simulated and the real
    backend, with a deliberately hostile SMR configuration (chunk 2,
@@ -101,7 +100,6 @@ let run_hash (module R : Oa_runtime.Runtime_intf.S) id ~batch ops =
            first [b] entries live *)
         let kinds = Array.make batch C in
         let keys = Array.make batch 0 in
-        let scratch = Array.make batch 0 in
         let i = ref 0 in
         while !i < n do
           let base = !i in
@@ -111,7 +109,7 @@ let run_hash (module R : Oa_runtime.Runtime_intf.S) id ~batch ops =
             kinds.(j) <- o;
             keys.(j) <- key
           done;
-          H.run_batch_keyed tbl ctx ~n:b ~scratch ~keys (fun j ->
+          H.run_batch ctx b (fun j ->
               results.(base + j) <-
                 (match kinds.(j) with
                 | C -> H.contains tbl ctx keys.(j)
@@ -130,8 +128,8 @@ let run_hash (module R : Oa_runtime.Runtime_intf.S) id ~batch ops =
     validation = H.validate tbl ~limit:(10 * capacity);
   }
 
-(* Same sequence through Linked_list.run_batch — the raw scheme-level
-   batched path without bucket sorting. *)
+(* Same sequence through Linked_list.run_batch — one chain instead of
+   the table's buckets. *)
 let run_list (module R : Oa_runtime.Runtime_intf.S) id ~batch ops =
   let module Sch = Schemes.Make (R) in
   let module S = (val Sch.pack id) in
@@ -303,7 +301,7 @@ let concurrent_smoke id () =
             | 6 | 7 -> Ins
             | _ -> Del)
         done;
-        H.run_batch_keyed tbl ctx ~keys (fun j ->
+        H.run_batch ctx bsize (fun j ->
             ignore
               (match kinds.(j) with
               | C -> H.contains tbl ctx keys.(j)

@@ -359,8 +359,8 @@ let test_batched_schemes_clean () =
     Schemes.all_ids
 
 let test_batched_structures_clean () =
-  (* Hash table (bucket-sorted batches) and skip list under the batched
-     path and the batch-boundary injector. *)
+  (* Hash table and skip list under the batched path and the
+     batch-boundary injector. *)
   List.iter
     (fun structure ->
       let sc = { Sc.default with Sc.structure; Sc.batch = 4 } in

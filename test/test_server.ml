@@ -414,6 +414,103 @@ let run_elastic scheme () =
     (Array.of_list (List.filter (fun k -> model.(k)) (List.init key_range succ)))
     (Sv.contents service)
 
+(* --- a failing store --- *)
+
+let rm_rf dir =
+  let rec go path =
+    match Unix.lstat path with
+    | exception Unix.Unix_error _ -> ()
+    | { Unix.st_kind = Unix.S_DIR; _ } ->
+        Array.iter (fun e -> go (Filename.concat path e)) (Sys.readdir path);
+        Unix.rmdir path
+    | _ -> Unix.unlink path
+  in
+  go dir
+
+(* Run [f] on its own domain and fail if it has not returned within
+   [seconds]: a hang is this test's failure mode, and a blocked [call]
+   cannot be interrupted from inside. *)
+let within ~seconds f =
+  let outcome = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set outcome (Some (try Ok (f ()) with e -> Error e)))
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match Atomic.get outcome with
+    | Some (Ok ()) -> Domain.join d
+    | Some (Error e) ->
+        Domain.join d;
+        raise e
+    | None ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "still blocked after %.0f s" seconds;
+        Unix.sleepf 0.01;
+        wait ()
+  in
+  wait ()
+
+(* The shard directory of a durable one-shard service vanishes.  Appends
+   would still land in the open (now unlinked) segment; what fails is
+   the rotation that creates the next one.  The service is filled to one
+   record short of a rotation first, so the very first mutation after the
+   removal fails.  That mutation and every later one must be answered
+   [Failed] — the shard turns read-only — while gets are still served, and
+   [stop] must return, skipping the checkpoint it can no longer write. *)
+let run_store_failure () =
+  let root =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "oa-test-server-%d" (Unix.getpid ()))
+  in
+  let data_dir = Filename.concat root "data" in
+  let segment_bytes = 512 in
+  rm_rf root;
+  Unix.mkdir root 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
+  within ~seconds:30. @@ fun () ->
+  let service =
+    Sv.create
+      {
+        Sv.default_config with
+        Sv.shards = 1;
+        prefill = 0;
+        key_range = 4_096;
+        data_dir = Some data_dir;
+        segment_bytes;
+      }
+  in
+  Sv.start service;
+  let call kind key = Sv.call service kind key in
+  (* one effective insert per call appends one record; the append that
+     brings a segment to [segment_bytes] rotates *)
+  let per_segment =
+    (segment_bytes + Oa_store.Record.frame_len - 1) / Oa_store.Record.frame_len
+  in
+  for k = 1 to per_segment - 1 do
+    if call Sv.Insert k <> Sv.Done true then
+      Alcotest.failf "insert %d before the removal" k
+  done;
+  rm_rf data_dir;
+  for k = per_segment to per_segment + 50 do
+    if call Sv.Insert k <> Sv.Failed then
+      Alcotest.failf "insert %d not answered Failed" k;
+    if call Sv.Delete 1 <> Sv.Failed then
+      Alcotest.fail "delete not answered Failed"
+  done;
+  Alcotest.(check bool) "get still served" true (call Sv.Get 1 = Sv.Done true);
+  Alcotest.(check bool)
+    "refused insert never ran" true
+    (call Sv.Get (per_segment + 1) = Sv.Done false);
+  Sv.stop service;
+  (match Sv.store_errors service with
+  | [ (0, _) ] -> ()
+  | _ -> Alcotest.fail "shard 0 not reported read-only");
+  let r = Sv.drain_report service in
+  Alcotest.(check int) "failures counted" 102 r.Sv.exec_errors;
+  Alcotest.(check int) "no checkpoint written" 0 r.Sv.checkpoints
+
 (* --- the round handoff --- *)
 
 let small_service ?(shards = 1) ~queue_capacity () =
@@ -648,6 +745,11 @@ let () =
             run_rc_side_tables;
           Alcotest.test_case "committed gauge counts bucket heads" `Quick
             run_committed_gauge;
+        ] );
+      ( "store failure",
+        [
+          Alcotest.test_case "lost shard directory turns the shard read-only"
+            `Quick run_store_failure;
         ] );
       ( "elastic",
         List.map
