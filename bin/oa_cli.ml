@@ -1021,9 +1021,11 @@ let loadgen_cmd =
   in
   let json =
     Arg.(
-      value & opt string "BENCH_server.json"
+      value & opt string "-"
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"Machine-readable result; $(b,-) suppresses the file.")
+          ~doc:
+            "Write the machine-readable result to $(docv); $(b,-) (the \
+             default) writes no file.")
   in
   let run host port conns pipeline batch duration mix keys seed zipf hot
       ledger json =

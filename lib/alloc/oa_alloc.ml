@@ -55,7 +55,7 @@ module Make (R : Oa_runtime.Runtime_intf.S) = struct
     spc : int;  (* slots (nodes) per chunk, a power of two *)
     shift : int;
     mask : int;
-    stride : int;  (* words per node after line padding *)
+    stride : int;  (* words per node in the flat layout *)
     table : chunk array R.rcell;  (* append-only *)
     open_chunk : R.cell;  (* id of the chunk the bump path draws from *)
     hints : int list R.rcell;
@@ -160,7 +160,8 @@ module Make (R : Oa_runtime.Runtime_intf.S) = struct
         spc;
         shift = Size_class.log2 spc;
         mask = spc - 1;
-        stride = Size_class.stride_words ~fields:n_fields;
+        stride =
+          Oa_runtime.Real_backend.node_stride ~nodes:spc ~fields:n_fields;
         table = R.rcell [||];
         open_chunk = R.cell 0;
         hints = R.rcell [];

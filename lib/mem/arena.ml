@@ -149,8 +149,11 @@ module Make (R : Oa_runtime.Runtime_intf.S) = struct
       [mem_committed_bytes]. *)
   let gauges t =
     match t.repr with
-    | Fixed _ ->
-        let stride = Oa_alloc.Size_class.stride_words ~fields:t.n_fields in
+    | Fixed f ->
+        let stride =
+          Oa_runtime.Real_backend.node_stride ~nodes:f.capacity
+            ~fields:t.n_fields
+        in
         [
           ("mem_chunks_live", 1);
           ("mem_chunks_mapped", 1);

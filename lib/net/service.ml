@@ -195,17 +195,18 @@ type t = {
    uncorrelated. *)
 let shard_index ~shards key = ((key * 0x2545F4914F6CDD1D) lsr 33) mod shards
 
-(* A fixed shard's flat-arena reservation.  Each table node takes one
-   line of the arena (a list node's two fields fit one) plus, at most, two
-   more lines for per-node cells a scheme carves beside the arena (RC's
-   counters and flags, one line each); the table's bucket heads take
-   [head_words] more, one word per bucket; 2^20 words (8 MiB of address
-   space) more hold over 16 000 registrations' rows — each a hazard row
-   and a warning cell of two lines apiece, plus pool cells — far more
-   than the worker, prefill and recovery registrations a shard makes.
-   The reservation is never smaller than the backend's default, so only a
-   budget past the default grows it.  Pages are committed only when
-   touched, so a large budget costs address space, not memory. *)
+(* A fixed shard's flat-arena reservation.  Each table node takes at
+   most one line of the arena (a list node is two words, four to a line)
+   plus, at most, two more lines for per-node cells a scheme carves
+   beside the arena (RC's counters and flags, one line each); the table's
+   bucket heads take [head_words] more, one word per bucket; 2^20 words
+   (8 MiB of address space) more hold over 16 000 registrations' rows —
+   each a hazard row and a warning cell of two lines apiece, plus pool
+   cells — far more than the worker, prefill and recovery registrations a
+   shard makes.  The reservation is never smaller than the backend's
+   default, so only a budget past the default grows it.  Pages are
+   committed only when touched, so a large budget costs address space,
+   not memory. *)
 let arena_words ~nodes ~head_words =
   max Oa_runtime.Real_backend.default_arena_words
     ((nodes * 3 * Oa_runtime.Flat_mem.line_words) + head_words + (1 lsl 20))
@@ -367,15 +368,20 @@ let create ?(obs = Oa_obs.Sink.create ()) (cfg : config) : t =
      would resurrect keys the pre-crash service had acked as deleted. *)
   if cfg.prefill > 0 && recovered_records + recovered_ckpt_keys = 0 then begin
     let ops = Array.map (fun s -> s.register ()) shards in
-    let logged = Array.map (fun _ -> ref []) shards in
+    (* Only a durable service logs its prefill, so only it keeps the keys
+       — in an int array: a volatile prefill keeps nothing beside the
+       table itself. *)
+    let logged =
+      if cfg.data_dir = None then [||] else Array.make cfg.prefill 0
+    in
     let rng = Oa_util.Splitmix.create (cfg.seed lxor 0x5eed) in
     let remaining = ref cfg.prefill in
     while !remaining > 0 do
       let k = 1 + Oa_util.Splitmix.below rng cfg.key_range in
       let s = shard_index ~shards:cfg.shards k in
       if ops.(s).exec Insert k then begin
-        decr remaining;
-        logged.(s) := k :: !(logged.(s))
+        if Array.length logged > 0 then logged.(cfg.prefill - !remaining) <- k;
+        decr remaining
       end
     done;
     (* The prefill is part of durable state: log it like any other batch
@@ -383,15 +389,22 @@ let create ?(obs = Oa_obs.Sink.create ()) (cfg : config) : t =
        restart without traffic still recovers the prefilled table. *)
     Array.iteri
       (fun s shard ->
-        match (shard.persist, !(logged.(s))) with
-        | None, _ | _, [] -> ()
-        | Some st, keys ->
-            let wkeys = Array.of_list keys in
-            let wops = Array.make (Array.length wkeys) Oa_store.Record.Insert in
-            let last, _ =
-              Oa_store.Shard_store.append st ~n:(Array.length wkeys) wops wkeys
-            in
-            ignore (Oa_store.Shard_store.sync st ~upto:last))
+        match shard.persist with
+        | None -> ()
+        | Some st ->
+            let keys = Array.make cfg.prefill 0 and n = ref 0 in
+            Array.iter
+              (fun k ->
+                if shard_index ~shards:cfg.shards k = s then begin
+                  keys.(!n) <- k;
+                  incr n
+                end)
+              logged;
+            if !n > 0 then begin
+              let wops = Array.make !n Oa_store.Record.Insert in
+              let last, _ = Oa_store.Shard_store.append st ~n:!n wops keys in
+              ignore (Oa_store.Shard_store.sync st ~upto:last)
+            end)
       shards
   end;
   {

@@ -3,8 +3,8 @@
     One contiguous 64-byte-aligned buffer of machine words with C-level
     atomic operations (seq_cst) on individual words.  This is the storage
     substrate of {!Real_backend}: node fields become adjacent words of one
-    buffer (node-major), so all fields of a node share a cache line and
-    neighbouring nodes never false-share.
+    buffer (node-major), so all fields of a node share a cache line
+    ({!Real_backend.node_stride} sets how many nodes share one).
 
     The buffer is an [int]-kind [Bigarray.Array1]: elements are stored
     untagged but surface as immediate OCaml ints, so {!get} compiles to a

@@ -4,13 +4,12 @@
     threads are domains, and cells are words of a flat, contiguous,
     64-byte-aligned {!Flat_mem} arena — the paper's pre-allocated heap
     (Assumption 3.1).  A node block is four integers — node [j]'s field
-    [f] is word [base + j*stride + f], the stride padded to a cache-line
-    multiple — so all fields of a node share a line, neighbouring nodes
-    (and each thread's hazard/warning row) never false-share, and no
-    per-node handle exists on the OCaml heap; standalone cells get two
-    full lines each.  Reads are plain inlined loads — the paper's
-    barrier-free optimistic read — and all mutating operations are
-    seq_cst C atomics.  [fence] is a genuine
+    [f] is word [base + j*stride + f], the stride set by {!node_stride} —
+    so all fields of a node share a line, each thread's hazard/warning
+    row has private lines, and no per-node handle exists on the OCaml
+    heap; standalone cells get two full lines each.  Reads are plain
+    inlined loads — the paper's barrier-free optimistic read — and all
+    mutating operations are seq_cst C atomics.  [fence] is a genuine
     [atomic_thread_fence(seq_cst)] (no shared fence cell, so concurrent
     fences do not contend) and [cpu_relax] the hardware spin-wait hint.
 
@@ -21,19 +20,31 @@ let tid_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 
 let default_arena_words = 1 lsl 27
 
-(* Node-block geometry.  Single-node blocks are per-thread rows (hazard
+(* Node-block geometry: the one stride rule of the flat layout (the
+   elastic allocator's chunk sizing and the arenas' committed-bytes
+   gauges call it too).  Single-node blocks are per-thread rows (hazard
    slots, one-off headers) written on every barrier by their owner: they
-   start on a 128-byte boundary and are padded to whole line pairs, so two
-   threads' rows never land in one adjacent-line prefetch pair.  Data-node
-   blocks keep the dense 1-line unit — their sharing is data-dependent,
-   and density wins there (same trade the paper's pre-allocated heap
-   makes). *)
+   start on a 128-byte boundary and are padded to whole line pairs, so
+   two threads' rows never land in one adjacent-line prefetch pair.
+   Single-field blocks are per-node side words (RC's counters and flags)
+   written by every reader: one line each.  Any other data node of at
+   most a line takes the least power-of-two stride that holds it, so a
+   line holds a whole number of nodes and none straddles two — a 2-field
+   list node is 16 bytes, four to a line, as the paper's plain C structs
+   are.  Larger nodes are padded to whole lines.  Density wins for data
+   nodes: their sharing is data-dependent (the same trade the paper's
+   pre-allocated heap makes). *)
 let node_align ~nodes =
   if nodes = 1 then 2 * Flat_mem.line_words else Flat_mem.line_words
 
+let rec pow2_at_least p n = if p >= n then p else pow2_at_least (2 * p) n
+
 let node_stride ~nodes ~fields =
-  let unit = node_align ~nodes in
-  (fields + unit - 1) / unit * unit
+  if nodes > 1 && fields >= 2 && fields <= Flat_mem.line_words then
+    pow2_at_least 1 fields
+  else
+    let unit = node_align ~nodes in
+    (fields + unit - 1) / unit * unit
 
 let make ?(max_threads = 128) ?(arena_words = default_arena_words) () :
     (module Runtime_intf.S) =
@@ -97,13 +108,15 @@ let make ?(max_threads = 128) ?(arena_words = default_arena_words) () :
     let arena = Flat_mem.alloc ~words:arena_words
     let bump = Atomic.make 0
 
-    (* All carves are whole cache lines, so every carve is line-aligned
-       within the page-aligned arena; [align] (a line multiple) rounds
-       the start up further, reserving the worst-case slack in the same
-       fetch-and-add. *)
+    (* Every carve is rounded up to whole cache lines, so every carve is
+       line-aligned within the page-aligned arena; [align] (a line
+       multiple) rounds the start up further, reserving the worst-case
+       slack in the same fetch-and-add. *)
     let carve ?(align = Flat_mem.line_words) words =
+      let lines = (words + Flat_mem.line_words - 1) / Flat_mem.line_words in
       let off =
-        Atomic.fetch_and_add bump (words + align - Flat_mem.line_words)
+        Atomic.fetch_and_add bump
+          ((lines * Flat_mem.line_words) + align - Flat_mem.line_words)
       in
       let base = (off + align - 1) / align * align in
       if words < 0 || base > Flat_mem.length arena - words then
@@ -126,8 +139,8 @@ let make ?(max_threads = 128) ?(arena_words = default_arena_words) () :
 
     (* Node-major layout (the Runtime_intf contract): node [j]'s fields
        are words [base + j*stride .. base + j*stride + fields - 1], with
-       [stride] padded to a whole number of cache lines ([node_stride])
-       — all fields of a node share a line, neighbouring nodes never do.
+       [stride] from [node_stride] and [base] line-aligned — all fields
+       of a node share a line; up to four 2-field nodes share one too.
        The mapping hands out zero pages, satisfying the
        all-cells-start-at-0 contract. *)
     type block = { base : int; stride : int; fields : int; nodes : int }
@@ -168,8 +181,8 @@ let make ?(max_threads = 128) ?(arena_words = default_arena_words) () :
       done
 
     (* Decommit a whole block: zero its span — padding words between
-       [fields] and the line-rounded stride included — with word-granular
-       stores, then hand the page-aligned interior back to the OS. *)
+       [fields] and the stride included — with word-granular stores, then
+       hand the page-aligned interior back to the OS. *)
     let decommit_block b =
       let len = b.nodes * b.stride in
       Flat_mem.fill arena b.base len 0;

@@ -7,7 +7,7 @@ val make :
 (** [make ()] builds the default ["real"] runtime: domains over one flat,
     contiguous, 64-byte-aligned {!Flat_mem} word arena.  Cells are plain
     [int] offsets into the arena — no per-cell heap object — and a node
-    block's fields are node-major with cache-line-padded stride (the
+    block's fields are node-major, no node straddling a cache line (the
     {!Runtime_intf.S} layout contract), addressed by arithmetic
     ({!node_stride}).  Standalone cells get two full lines each, reads are
     plain inlined loads, and all mutating operations are seq_cst C
@@ -28,7 +28,15 @@ val node_align : nodes:int -> int
     single-node block (a per-thread row). *)
 
 val node_stride : nodes:int -> fields:int -> int
-(** Words from one node to the next in [node_block ~nodes ~fields]:
-    [fields] rounded up to a multiple of [node_align ~nodes].  Node [j]'s
-    field [f] is word [base + j * node_stride ~nodes ~fields + f] of the
-    arena. *)
+(** Words from one node to the next in [node_block ~nodes ~fields] — the
+    layout's one stride rule:
+    - a data node of [2 .. line_words] fields in a block of [nodes > 1]
+      takes the least power of two [>= fields] (a 2-field node is 2 words,
+      four to a line), so no node straddles a line;
+    - otherwise [fields] is rounded up to a multiple of
+      [node_align ~nodes]: larger nodes take whole lines, a single-field
+      block (per-node side words written by every reader) one line per
+      node, and a single-node row whole 128-byte line pairs.
+    Node [j]'s field [f] is word [base + j * node_stride ~nodes ~fields + f]
+    of the arena.  The elastic allocator's chunk sizing and the arenas'
+    committed-bytes gauges use this function too. *)

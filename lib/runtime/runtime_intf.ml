@@ -36,13 +36,15 @@ module type S = sig
 
   val node_block : nodes:int -> fields:int -> block
   (** [node_block ~nodes ~fields] allocates storage for [nodes] heap nodes
-      of [fields] words each, laid out {e node-major}: all fields of one
-      node share a cache line, and distinct nodes never share one.  The
-      sim backend models this by putting each node's fields on one costed
-      line; the real backend delivers it physically — one contiguous span
-      with the stride padded to a cache-line multiple, so a per-thread
-      hazard/warning row allocated as [node_block ~nodes:1] occupies its
-      own padded region.  Every cell starts at 0. *)
+      of [fields] words each, laid out {e node-major}: a node's fields
+      never straddle a cache line; whether sub-line neighbours share a
+      line is the backend's choice.  The sim backend puts each node's
+      fields on one costed line of its own; the real backend delivers the
+      contract physically — one contiguous span whose stride packs nodes
+      of up to a line at power-of-two strides (four 2-field nodes to a
+      line), while a per-thread hazard/warning row allocated as
+      [node_block ~nodes:1] occupies its own padded region.  Every cell
+      starts at 0. *)
 
   val node_cell : block -> int -> int -> cell
   (** [node_cell b j f] is field [f] of node [j] (real backend:

@@ -6,8 +6,9 @@
    per-operation path itself — the normalized driver, the search, the
    CAS descriptors and every barrier — must allocate nothing.  The same
    gate covers a network shard's per-operation entry point
-   ([Service.make_shard]'s [exec], what a worker rendezvous runs).  The
-   skip list and the queue run the same measurement and report their
+   ([Service.make_shard]'s [exec], what a worker rendezvous runs), and
+   a volatile service's prefill is held to one word per key.  The skip
+   list and the queue run the same measurement and report their
    words/op without a gate. *)
 
 module Rb = Oa_runtime.Real_backend
@@ -105,6 +106,33 @@ let shard_words id =
       let key = 1 + SM.below rng cfg.Sv.key_range in
       ignore (Sys.opaque_identity (w.Sv.exec (kind_of (SM.below rng 4)) key)))
 
+(* A volatile service's prefill keeps no per-key state beside the table:
+   [Service.create] with a 100 000-key prefill allocates at most one heap
+   word per prefilled key — the table's amortised pool refills and the
+   shards' fixed set-up — not a key list (three words a key, promoted to
+   the major heap), which only a durable prefill needs for its log
+   append.  Counts minor and direct major allocations alike, on the main
+   domain that runs the prefill. *)
+let test_volatile_prefill () =
+  let module Sv = Oa_net.Service in
+  let prefill = 100_000 in
+  let cfg =
+    { Sv.default_config with shards = 2; prefill; key_range = 4 * prefill }
+  in
+  let allocated () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = allocated () in
+  let t = Sv.create ~obs:(Oa_obs.Sink.create ()) cfg in
+  let w = (allocated () -. w0) /. float_of_int prefill in
+  Printf.printf "volatile prefill: %.3f words/key\n" w;
+  Alcotest.(check bool) "prefill landed" true
+    (Sv.mem_gauge t "mem_committed_bytes" > 0);
+  if w > budget then
+    Alcotest.failf "volatile prefill allocates %.2f words/key (budget %.0f)" w
+      budget
+
 let gate what measure (id, s) () =
   let w = measure (id, s) in
   Printf.printf "%s %s: %.3f minor words/op\n" what
@@ -136,5 +164,8 @@ let () =
       ("hash table", cases "hash table" (fun (_, s) -> hash_words s));
       ("linked list", cases "linked list" (fun (_, s) -> list_words s));
       ("service exec", cases "shard exec" (fun (id, _) -> shard_words id));
+      ( "service prefill",
+        [ Alcotest.test_case "volatile keeps no key list" `Quick
+            test_volatile_prefill ] );
       ("report", [ Alcotest.test_case "skip list and queue" `Quick report ]);
     ]

@@ -348,7 +348,9 @@ let test_head_neighbours r () =
   check_others "delete" after
 
 (* The committed-memory gauge counts the heads too: they sit outside the
-   arena but are resident for the table's lifetime. *)
+   arena but are resident for the table's lifetime.  Its node bytes come
+   from the backend's one stride rule — two words for a list node, so
+   four nodes to a line. *)
 let test_head_gauge () =
   let module R = (val Oa_runtime.Real_backend.make ()) in
   let module S = Oa_core.Oa.Make (R) in
@@ -362,6 +364,7 @@ let test_head_gauge () =
     ignore (H.insert t ctx k)
   done;
   let stride = Oa_runtime.Real_backend.node_stride ~nodes:capacity ~fields:2 in
+  Alcotest.(check int) "list nodes take 2 words" 2 stride;
   Alcotest.(check int) "bump_used * stride * 8 + n_buckets * 8"
     ((H.A.bump_used (H.arena t) * stride * 8) + (H.n_buckets t * 8))
     (List.assoc "mem_committed_bytes" (H.gauges t))

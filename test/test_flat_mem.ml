@@ -115,18 +115,22 @@ let test_hammer_disjoint_words () =
    arithmetic by aliasing: with [stride = Rb.node_stride], node [j]'s word
    [f] must be node 0's word [j*stride + f] (padding words included —
    deliberately past the [f < fields] bound [node_cell] leaves unchecked
-   on this backend), and
-   every (node, field) pair is its own cell.  The geometry itself — a
-   line-multiple stride, single-node rows padded to and aligned on line
-   pairs — is pinned on [node_stride] and [node_align], which
-   [node_block] carves by.  Standalone cells never share. *)
+   on this backend), and every (node, field) pair is its own cell.  The
+   geometry itself is pinned on [node_stride] and [node_align], which
+   [node_block] carves by: from a line-aligned base, a data node of up to
+   a line takes the least power-of-two stride and so never straddles a
+   line; larger nodes take whole lines; single-field blocks (per-node
+   side words) stay a line apart; single-node rows are padded to and
+   aligned on line pairs.  Standalone cells never share. *)
 let test_backend_layout () =
   let module R = (val Rb.make ()) in
   let lw = Fm.line_words in
   let nodes = 4 and fields = 3 in
   let b = R.node_block ~nodes ~fields in
   let stride = Rb.node_stride ~nodes ~fields in
-  Alcotest.(check int) "3 fields pad to one line" lw stride;
+  Alcotest.(check int) "3 fields take a 4-word stride" 4 stride;
+  Alcotest.(check int) "2 fields take a 2-word stride" 2
+    (Rb.node_stride ~nodes ~fields:2);
   for j = 0 to nodes - 1 do
     for f = 0 to stride - 1 do
       R.write (R.node_cell b j f) ((100 * j) + f + 1)
@@ -139,31 +143,49 @@ let test_backend_layout () =
       ((100 * (w / stride)) + (w mod stride) + 1)
       (R.read (R.node_cell b 0 w))
   done;
-  List.iter
-    (fun fields ->
-      let stride = Rb.node_stride ~nodes:3 ~fields in
-      Alcotest.(check int)
-        (Printf.sprintf "%d-field stride is a line multiple" fields)
-        0 (stride mod lw);
-      Alcotest.(check bool)
-        (Printf.sprintf "%d-field stride is the least one" fields)
-        true
-        (stride >= fields && stride < fields + lw);
-      Alcotest.(check int)
-        (Printf.sprintf "%d-field data block line aligned" fields)
-        lw (Rb.node_align ~nodes:3);
-      let row = Rb.node_stride ~nodes:1 ~fields in
-      Alcotest.(check int)
-        (Printf.sprintf "%d-field row 128-byte aligned" fields)
-        (2 * lw) (Rb.node_align ~nodes:1);
-      Alcotest.(check bool)
-        (Printf.sprintf "%d-field row is the least line pair" fields)
-        true
-        (row mod (2 * lw) = 0 && row >= fields && row < fields + (2 * lw)))
-    [ 1; 3; lw; lw + 1; (2 * lw) + 1 ];
+  for fields = 1 to 24 do
+    List.iter
+      (fun nodes ->
+        let what = Printf.sprintf "%d nodes of %d fields" nodes fields in
+        let stride = Rb.node_stride ~nodes ~fields in
+        Alcotest.(check int) (what ^ ": data block line aligned") lw
+          (Rb.node_align ~nodes);
+        Alcotest.(check bool) (what ^ ": stride holds the node") true
+          (stride >= fields);
+        if fields = 1 then
+          Alcotest.(check int) (what ^ ": side words a line apart") lw stride
+        else if fields <= lw then
+          Alcotest.(check bool)
+            (what ^ ": least power-of-two stride")
+            true
+            (stride land (stride - 1) = 0 && stride / 2 < fields)
+        else
+          Alcotest.(check bool)
+            (what ^ ": least line-multiple stride")
+            true
+            (stride mod lw = 0 && stride < fields + lw);
+        (* no node straddles a line: each touches exactly the lines its
+           fields need *)
+        for j = 0 to min nodes 64 - 1 do
+          let first = j * stride and last = (j * stride) + fields - 1 in
+          if (last / lw) - (first / lw) + 1 <> (fields + lw - 1) / lw then
+            Alcotest.failf "%s: node %d straddles a line" what j
+        done)
+      [ 2; 3; 4096 ];
+    let row = Rb.node_stride ~nodes:1 ~fields in
+    Alcotest.(check int)
+      (Printf.sprintf "%d-field row 128-byte aligned" fields)
+      (2 * lw) (Rb.node_align ~nodes:1);
+    Alcotest.(check bool)
+      (Printf.sprintf "%d-field row is the least line pair" fields)
+      true
+      (row mod (2 * lw) = 0 && row >= fields && row < fields + (2 * lw))
+  done;
   (* a data block of 3 one-line nodes leaves the next carve on an odd
-     line; a row carved after it still gets its full, private span *)
+     line, and a packed block of 3 two-word nodes ends mid-line; a row
+     carved after them still gets its full, private span *)
   ignore (R.node_block ~nodes:3 ~fields:1);
+  let packed = R.node_block ~nodes:3 ~fields:2 in
   let r1 = R.node_block ~nodes:1 ~fields:3 in
   let r2 = R.node_block ~nodes:1 ~fields:3 in
   let row = Rb.node_stride ~nodes:1 ~fields:3 in
@@ -171,6 +193,8 @@ let test_backend_layout () =
     R.write (R.node_cell r1 0 w) 1
   done;
   Alcotest.(check int) "next row untouched" 0 (R.read (R.node_cell r2 0 0));
+  Alcotest.(check int) "packed block untouched" 0
+    (R.read (R.node_cell packed 2 1));
   let c1 = R.cell 1 and c2 = R.cell 2 in
   ignore (R.faa c1 10);
   Alcotest.(check int) "standalone cells independent" 2 (R.read c2);

@@ -339,10 +339,11 @@ let run_rc_side_tables () =
        })
 
 (* kv_read_large's shape: 2 shards, 500 000 keys prefilled.  The
-   committed gauge is each shard's arena — bump_used nodes of one 64-byte
-   line each — plus its bucket heads, one word per bucket.  bump_used is
-   the prefill's nodes rounded up to the allocator's chunk grain, so it
-   lies within a chunk or two per shard of the key count. *)
+   committed gauge is each shard's arena — bump_used nodes of the
+   backend's node stride each, 16 bytes for a list node — plus its bucket
+   heads, one word per bucket.  bump_used is the prefill's nodes rounded
+   up to the allocator's chunk grain, so it lies within a chunk or two
+   per shard of the key count. *)
 let run_committed_gauge () =
   let cfg =
     {
@@ -360,13 +361,17 @@ let run_committed_gauge () =
   in
   let heads = cfg.Sv.shards * n_buckets * 8 in
   let committed = Sv.mem_gauge t "mem_committed_bytes" in
-  let nodes = (committed - heads) / 64 in
-  Alcotest.(check int) "whole node lines past the heads" 0
-    ((committed - heads) mod 64);
+  let node_bytes =
+    8 * Oa_runtime.Real_backend.node_stride ~nodes:cfg.Sv.prefill ~fields:2
+  in
+  Alcotest.(check int) "16-byte list nodes" 16 node_bytes;
+  let nodes = (committed - heads) / node_bytes in
+  Alcotest.(check int) "whole nodes past the heads" 0
+    ((committed - heads) mod node_bytes);
   if nodes < cfg.Sv.prefill
      || nodes > cfg.Sv.prefill + (2 * cfg.Sv.shards * cfg.Sv.chunk_size)
   then
-    Alcotest.failf "committed %d B = %d node lines + %d B of heads" committed
+    Alcotest.failf "committed %d B = %d nodes + %d B of heads" committed
       nodes heads
 
 (* The elastic arena ([serve --elastic]): shards on Oa_alloc chunks

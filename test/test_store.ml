@@ -287,6 +287,22 @@ let test_service_restart () =
   let r2 = Sv.drain_report service2 in
   if not r2.Sv.conservation_ok then Alcotest.fail "conservation (second life)"
 
+(* The prefill is durable state: a two-shard service abandoned right
+   after its prefill — no traffic, no drain, so no checkpoint — and
+   restarted on its data dir replays exactly the prefilled keys, each
+   from its own shard's log. *)
+let test_prefill_restart () =
+  with_dir @@ fun dir ->
+  let cfg = { (service_cfg ~data_dir:dir) with Sv.prefill = key_range / 2 } in
+  let before = Sv.contents (Sv.create cfg) in
+  Alcotest.(check int) "prefilled" (key_range / 2) (Array.length before);
+  let service = Sv.create cfg in
+  Alcotest.(check (pair int int)) "every prefilled key replayed"
+    (key_range / 2, 0)
+    (Sv.recovered_records service, Sv.recovered_ckpt_keys service);
+  Alcotest.(check (array int)) "recovered state equals the prefill" before
+    (Sv.contents service)
+
 (* --- replay of a delete-heavy log --- *)
 
 (* A log of effective mutations, written straight through the shard
@@ -443,6 +459,8 @@ let () =
         [
           Alcotest.test_case "service restart recovers acked state" `Quick
             test_service_restart;
+          Alcotest.test_case "prefill survives a restart without traffic"
+            `Quick test_prefill_restart;
           Alcotest.test_case "delete-heavy replay fits the default delta"
             `Quick test_replay_delete_heavy;
         ] );
