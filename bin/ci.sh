@@ -97,8 +97,8 @@ done
 # `dune exec` — so the signal reaches it.  Port derived from the PID to
 # tolerate parallel CI runs on one machine.
 #
-# Run each scheme at server dequeue batch 1 (per-op control) and 64 (the
-# default dequeue bound — the batched execution path), three runs per
+# Run each scheme at server batch 1 (per-op control) and 64 (the default
+# batch bound — the batched execution path), three runs per
 # point with the median kept —
 # loaded machines and single-core runners time-slice badly enough that a
 # single run per point is a coin flip — and assemble the four median runs
@@ -142,6 +142,24 @@ serve_loadgen hp 1 bench_server_hp_b1.json
 serve_loadgen hp 64 bench_server_hp_b64.json
 serve_loadgen vbr 1 bench_server_vbr_b1.json
 serve_loadgen vbr 64 bench_server_vbr_b64.json
+
+# Two execution contexts per shard: the four connections' shares of one
+# shard run concurrently on its lock-free table and its scheme.  serve
+# exits nonzero unless the drain conserves; the load must see no error.
+echo "== server smoke (two contexts per shard)"
+./_build/default/bin/oa_cli.exe serve --scheme oa --shards 2 --workers 2 \
+  --port "$OA_SMOKE_PORT" > serve_w2.log &
+OA_SERVE_PID=$!
+sleep 1
+./_build/default/bin/oa_cli.exe loadgen --port "$OA_SMOKE_PORT" \
+  --conns 4 --pipeline 64 --batch 64 --duration 4 --json bench_server_w2.json
+kill -INT "$OA_SERVE_PID"
+wait "$OA_SERVE_PID"
+cat serve_w2.log
+grep -q '"errors":0,' bench_server_w2.json
+grep -q 'conservation=ok' serve_w2.log
+rm -f serve_w2.log bench_server_w2.json
+OA_SMOKE_PORT=$(( OA_SMOKE_PORT + 1 ))
 
 # Kill-and-restart recovery smoke (docs/persistence.md): run a durable
 # server, drive it with a hot-key ledgered load, SIGKILL it mid-flight
@@ -232,7 +250,7 @@ cat BENCH_server.json
 # later mutation as failed, so loadgen returns, and serve must exit
 # nonzero with one line naming the shard instead of hanging.  Both are
 # bounded by timeout, with a SIGKILL after it: a hung serve ignores
-# SIGTERM, because its shutdown waits for the lost worker.
+# SIGTERM, because its shutdown waits for a handler that never returns.
 echo "== store-failure smoke"
 OA_FAIL_DIR=$(mktemp -d "${TMPDIR:-/tmp}/oa-ci-fail.XXXXXX")
 timeout -k 2 20 ./_build/default/bin/oa_cli.exe serve --scheme oa \

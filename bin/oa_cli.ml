@@ -682,7 +682,11 @@ let serve_cmd =
     Arg.(
       value
       & opt int d.Sv.workers_per_shard
-      & info [ "workers"; "t" ] ~doc:"Worker domains per shard.")
+      & info [ "workers"; "t" ]
+          ~doc:
+            "Execution contexts per shard: how many connections can run \
+             a share on one shard at once.  A durable shard (--data-dir) \
+             takes exactly one.")
   in
   let port =
     Arg.(
@@ -709,17 +713,11 @@ let serve_cmd =
       value & opt int d.Sv.chunk_size
       & info [ "chunk" ] ~doc:"Local pool chunk size.")
   in
-  let queue_capacity =
-    Arg.(
-      value
-      & opt int d.Sv.queue_capacity
-      & info [ "queue-capacity" ]
-          ~doc:"Bounded request queue per shard; overflow answers BUSY.")
-  in
   let batch =
     Arg.(
       value & opt int d.Sv.dequeue_batch
-      & info [ "batch" ] ~doc:"Max requests a worker dequeues at once.")
+      & info [ "batch" ]
+          ~doc:"The most requests per call of the batched execution path.")
   in
   let elastic =
     Arg.(
@@ -743,7 +741,7 @@ let serve_cmd =
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:
             "Write the final telemetry snapshot (connection, request, \
-             queue-depth and SMR events; see docs/observability.md) as \
+             shard-wait and SMR events; see docs/observability.md) as \
              line-delimited JSON to $(docv); $(b,-) writes to stdout.")
   in
   let data_dir =
@@ -768,7 +766,7 @@ let serve_cmd =
       & info [ "ckpt-every" ]
           ~doc:
             "Checkpoint a shard after this many logged records (0 only at \
-             shutdown; mid-run checkpoints need --workers 1).")
+             shutdown).")
   in
   let hostport_conv =
     let parse s =
@@ -795,8 +793,8 @@ let serve_cmd =
              local mutations are refused.  Implies a volatile service \
              (--data-dir and --prefill are ignored).")
   in
-  let run scheme shards workers port prefill keys delta chunk queue_capacity
-      batch elastic duration metrics data_dir segment_bytes ckpt_every follow =
+  let run scheme shards workers port prefill keys delta chunk batch elastic
+      duration metrics data_dir segment_bytes ckpt_every follow =
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let following = follow <> None in
     let cfg =
@@ -808,7 +806,6 @@ let serve_cmd =
         key_range = keys;
         delta;
         chunk_size = chunk;
-        queue_capacity;
         dequeue_batch = batch;
         seed = 1;
         elastic;
@@ -818,14 +815,13 @@ let serve_cmd =
       }
     in
     let service =
-      (* a refused arena reservation is a resource limit: say so on one
+      (* a refused arena reservation or configuration: say so on one
          line rather than crash *)
       try Sv.create cfg
-      with Failure msg ->
+      with Failure msg | Invalid_argument msg ->
         Printf.eprintf "oa_cli serve: %s\n" msg;
         exit 2
     in
-    Sv.start service;
     let repl =
       match follow with
       | None -> None
@@ -926,7 +922,7 @@ let serve_cmd =
           requests, runs a final reclamation pass and reports conservation.")
     Term.(
       const run $ scheme $ shards $ workers $ port $ prefill $ keys $ delta
-      $ chunk $ queue_capacity $ batch $ elastic $ duration $ metrics
+      $ chunk $ batch $ elastic $ duration $ metrics
       $ data_dir $ segment_bytes $ ckpt_every $ follow)
 
 (* --- loadgen --- *)
@@ -1266,7 +1262,7 @@ let write_json path buf =
    warning boundary) feeds on.  [batch = 1] runs the stream per-op;
    larger sizes go through Hash_table.run_batch, in submission order,
    over preallocated parallel kind/key/result arrays — what a server
-   worker's [exec_batch] runs — so the delta against per-op is the
+   shard context's [exec_batch] runs — so the delta against per-op is the
    schemes' amortisation, not allocator traffic.
    Per-thread TSC spans are taken on each domain — the same
    same-thread-difference discipline the phase timers use. *)
@@ -1413,7 +1409,7 @@ let bench_core_cmd =
             "Batch sizes for the batched-execution sweep (default 1,16): \
              the same per-thread op stream is executed per-op (batch 1) \
              or in groups through Hash_table.run_batch, as a server \
-             worker runs them, so the deltas isolate the schemes' batch \
+             shard runs them, so the deltas isolate the schemes' batch \
              amortisation.")
   in
   let run schemes domains ops prefill repeats batches json =

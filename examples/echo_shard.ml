@@ -1,10 +1,11 @@
 (* Embedding the sharded service without sockets.
 
-   Oa_net.Service is a library first: create it, start its worker
-   domains, and issue operations with Service.call — the same submit /
-   rendezvous path the TCP server uses, minus the wire protocol.  This
-   example runs a single-shard service (one worker domain owning one
-   hash table + SMR scheme instance), checks a few operations against
+   Oa_net.Service is a library first: create it and issue operations
+   with Service.call — the same stage / await path the TCP server uses,
+   minus the wire protocol: each call runs on the calling domain,
+   through a borrowed shard execution context.  This example runs a
+   single-shard service (one hash table + SMR scheme instance with one
+   execution context), checks a few operations against
    their expected results, then stops the service and prints the drain
    report with its conservation verdict.
 
@@ -13,8 +14,8 @@
 module Sv = Oa_net.Service
 
 let () =
-  (* One shard, one worker: the whole table behind a single bounded
-     queue.  Prefill is empty so every result below is predictable. *)
+  (* One shard, one execution context.  Prefill is empty so every
+     result below is predictable. *)
   let cfg =
     {
       Sv.default_config with
@@ -27,7 +28,6 @@ let () =
     }
   in
   let service = Sv.create cfg in
-  Sv.start service;
 
   let show kind name key =
     match Sv.call service kind key with
@@ -53,8 +53,8 @@ let () =
     | _ -> ignore (Sv.call service Sv.Get k)
   done;
 
-  (* Stop: close the queue, let the worker drain, run its final
-     reclamation pass, and join.  The report must conserve nodes. *)
+  (* Stop: run the context's final reclamation pass and close it.  The
+     report must conserve nodes. *)
   Sv.stop service;
   let r = Sv.drain_report service in
   Format.printf "drain: %a@." Sv.pp_report r;

@@ -1,9 +1,9 @@
 (** Crash-at-batch-boundary checking for the durability subsystem
-    (docs/persistence.md): drive a real one-shard, one-worker
+    (docs/persistence.md): drive a real one-shard, one-context
     {!Oa_net.Service} with a data directory through rounds of operations
     — each round one {!Oa_net.Service.stage} … {!Oa_net.Service.await},
-    so the worker executes it, appends the effective mutations to the
-    WAL, group-commit fsyncs and only then acks — and at {e every} round
+    so the shard's context executes it, appends the effective mutations
+    to the WAL, group-commit fsyncs and only then acks — and at {e every} round
     boundary capture the on-disk state, as a crash immediately after the
     ack would leave it.  Each captured state is then recovered by
     {!Oa_net.Service.create} on a copy of the directory and compared
@@ -24,11 +24,11 @@
     an unacked write must not be half-resurrected by its torn record.
 
     The service checkpoints on its own trigger ([ckpt_every] records,
-    the single-worker quiesce-and-snapshot of the worker loop), so the
+    the quiesce-and-snapshot of the shard's one context), so the
     captured states exercise all three recovery shapes: WAL-only,
     checkpoint-only, and checkpoint + replay.
 
-    Runs on the real backend with one worker: crash durability is a
+    Runs on the real backend with one context: crash durability is a
     property of the log discipline, not of the schedule, and the schedule
     explorer ({!Explore}) already owns the concurrency side.  The scheme
     still matters — recovery replays through the scheme's batched path,
@@ -111,9 +111,9 @@ let copy_shard src dst =
     (Sys.readdir from);
   into
 
-(* The service both sides run: one shard, one worker, a queue and a
-   dequeue bound of one round, so each round is one worker batch — one
-   append and one fsync.  A delta of twice the key range leaves arena
+(* The service both sides run: one shard, one context and a batch bound
+   of one round, so each round is one batched-path call — one append and
+   one fsync.  A delta of twice the key range leaves arena
    room for the whole key set plus the retired nodes that the service's
    reclamation thresholds (delta / 2) let pile up. *)
 let service_config cfg ~seed ~prefill data_dir =
@@ -126,7 +126,6 @@ let service_config cfg ~seed ~prefill data_dir =
     key_range = cfg.key_range;
     delta = 2 * cfg.key_range;
     chunk_size = 16;
-    queue_capacity = cfg.batch;
     dequeue_batch = cfg.batch;
     seed;
     data_dir = Some data_dir;
@@ -136,7 +135,7 @@ let service_config cfg ~seed ~prefill data_dir =
 
 (* Recover data dir [dir] into a fresh service; returns (sorted contents,
    checkpoint keys loaded, records replayed, conservation verdict).
-   [stop] without [start] closes the WAL — and checkpoints [dir], which
+   [stop] closes the WAL — and checkpoints [dir], which
    is a disposable copy. *)
 let recover cfg ~seed dir =
   let t = Sv.create (service_config cfg ~seed ~prefill:0 dir) in
@@ -202,7 +201,6 @@ let run_seed cfg ~seed ~failures (o : outcome) =
   in
   let snapshots = ref [] in
   Fun.protect ~finally:(fun () -> Sv.stop live) (fun () ->
-      Sv.start live;
       for g = 0 to cfg.groups - 1 do
         exec_round ();
         (* capture the boundary: exactly the bytes a crash after this

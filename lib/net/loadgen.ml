@@ -9,8 +9,8 @@
     the histograms merge associatively into the final {!Summary.t}.
 
     Closed-loop means offered load adapts to the server: a saturated
-    server shows up as latency, a full shard queue as BUSY responses, not
-    as an unbounded client-side backlog. *)
+    server shows up as latency, not as an unbounded client-side
+    backlog. *)
 
 module H = Oa_obs.Histogram
 module Clock = Oa_runtime.Clock
@@ -23,9 +23,9 @@ type config = {
   batch : int;
       (** requests per write group: each round's [pipeline] requests are
           sent as ceil(pipeline/batch) separate writes instead of one, so
-          the server-side dequeue (and hence the batched execution path)
-          sees groups of about this size; [<= 0] means one group of
-          [pipeline] (the previous behaviour) *)
+          each server-side read (and hence each round the batched
+          execution path runs) sees groups of about this size; [<= 0]
+          means one group of [pipeline] (the previous behaviour) *)
   duration : float;  (** seconds *)
   mix : Oa_workload.Op_mix.t;
   key_dist : Oa_workload.Key_dist.t;
@@ -170,7 +170,7 @@ let run_conn cfg ~index =
              (fun (r : Protocol.request) ->
                Hashtbl.replace sent r.id (t0, r.op))
              reqs;
-           (* Send in groups of [batch] so the server's dequeue — and so
+           (* Send in groups of [batch] so each server read — and so
               its batched execution path — sees groups of about that
               size; one write of the whole pipeline otherwise. *)
            let group = if cfg.batch <= 0 then cfg.pipeline else cfg.batch in

@@ -20,9 +20,9 @@
     chunk of [shard]'s checkpoint key set ([shard:u64 offset:u64]).
 
     Response statuses: [1] TRUE, [2] FALSE (the two boolean results of
-    set operations), [3] BUSY (shard queue full — backpressure, the
-    request was {e not} executed), [4] ERROR ([len:u16 msg:bytes]),
-    [5] PONG, [6] STATS ([n:u16 v_1..v_n:u64]), [7] RECORDS
+    set operations), [3] BUSY (the server is at its connection cap or
+    stopping — the request was {e not} executed), [4] ERROR
+    ([len:u16 msg:bytes]), [5] PONG, [6] STATS ([n:u16 v_1..v_n:u64]), [7] RECORDS
     ([last:u64 n:u16] then [n] 17-byte records [op:u8 seq:u64 key:u64],
     [last] being the shard's current appended sequence), [8] SNAP_NEEDED
     ([ckpt_seq:u64 total:u64] — the follower's position predates the

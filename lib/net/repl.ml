@@ -53,39 +53,17 @@ type t = {
   mutable follower : unit Domain.t option;
 }
 
-(** Apply one batch of keyed mutations, in log order, through the
-    service's own stage/await path: the replica's shard workers execute
-    them exactly like client writes, so batching, SMR behaviour and
-    telemetry are the production path's.  BUSY rejections are retried —
-    the log stream must not drop records.  Order per key survives the
-    retry: a key always routes to one shard, and what that shard's queue
-    rejects is the tail of the round's share for it, so every rejected
-    record comes after every accepted record of its shard and is
-    resubmitted only once those have completed. *)
+(** Apply one batch of keyed mutations, in log order, as one round of
+    the service's own stage/await path: the replica's shards execute them
+    exactly like client writes, so batching, SMR behaviour and telemetry
+    are the production path's.  Order per key holds: a key routes to one
+    shard, and a share runs in submission order. *)
 let apply_muts service muts =
   let batch = Service.new_batch () in
-  let rec go muts =
-    match muts with
-    | [] -> ()
-    | _ ->
-        let staged =
-          List.map
-            (fun (kind, key) ->
-              ((kind, key), Service.stage service batch kind key))
-            muts
-        in
-        Service.await batch;
-        let rejected =
-          List.filter_map
-            (fun (m, (item : Service.item)) -> if item.busy then Some m else None)
-            staged
-        in
-        if rejected <> [] then begin
-          Unix.sleepf 0.001;
-          go rejected
-        end
-  in
-  go muts
+  List.iter
+    (fun (kind, key) -> ignore (Service.stage service batch kind key))
+    muts;
+  Service.await batch
 
 let stats_shards client =
   match

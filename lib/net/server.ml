@@ -6,17 +6,19 @@
     (id 0) and closed, so a connection flood cannot exhaust OCaml's
     domain limit and take the accept loop down.  A handler reads one
     pipelined batch of frames, stages the shard operations in its
-    connection's {!Service.batch}, answers PING/STATS inline, awaits the
-    round's rendezvous, and writes every response in request order before
-    reading again — so responses never interleave within a connection and
-    ids stay matchable.
+    connection's {!Service.batch}, answers PING/STATS inline, runs the
+    round on its own domain ({!Service.await}), and writes every response
+    in request order before reading again — so responses never interleave
+    within a connection, ids stay matchable, and the next round is read
+    only once this one is answered: TCP flow control is the
+    backpressure.
 
     Shutdown ({!shutdown}, idempotent, callable from a signal handler or
     another domain) proceeds strictly: stop accepting (close the listener),
     half-close every connection's read side so handlers finish their
     in-flight batch and exit, join the handlers, then stop the service —
-    which drains the shard queues, runs every worker's final reclamation
-    pass ({!Oa_core.Smr_intf.S.quiesce}) and joins.  Only then does
+    which runs every shard context's final reclamation pass
+    ({!Oa_core.Smr_intf.S.quiesce}).  Only then does
     {!serve} return; the caller reads the {!Service.drain_report} with
     the retire/reclaim conservation verdict. *)
 
@@ -37,7 +39,7 @@ type t = {
   obs : Oa_obs.Recorder.t option;
 }
 
-(** [max_conns] defaults to 64: with the shard workers, the signal
+(** [max_conns] defaults to 64: with the main domain, the signal
     watcher and a replica's follower, that stays well under OCaml's limit
     of 128 live domains. *)
 let create ?(port = 0) ?(backlog = 64) ?(max_pipeline = 256)
@@ -81,8 +83,8 @@ let obs_incr t ev =
 let rec_incr o ev =
   match o with None -> () | Some r -> Oa_obs.Recorder.incr r ev
 
-(* One request of a pipelined batch, as read: either staged for a shard
-   worker, or answered inline. *)
+(* One request of a pipelined batch, as read: either staged for its
+   shard, or answered inline. *)
 type slot =
   | Pending of Service.item
   | Immediate of Protocol.body
@@ -119,8 +121,7 @@ let classify t batch (req : Protocol.request) =
           Immediate (Protocol.Snap_chunk_r { ckpt_seq; total; offset; keys }))
 
 (* A request's reply once its round is done; [Req_enq] and [Req_busy] are
-   counted here, after {!Service.await} has published the round and knows
-   which requests the shard queues took. *)
+   counted here, after {!Service.await} knows which requests ran. *)
 let reply o = function
   | Immediate b -> b
   | Pending item ->
@@ -136,7 +137,7 @@ let reply o = function
 
 let handle_conn t conn =
   let o = Oa_obs.Sink.register (Service.sink t.service) in
-  (* one rendezvous for the connection's life, reused every round *)
+  (* one batch for the connection's life, reused every round *)
   let batch = Service.new_batch () in
   let rec loop () =
     match
@@ -175,8 +176,9 @@ let refuse conn =
    with Unix.Unix_error _ -> ());
   Conn.close conn
 
-(** Blocking accept loop; returns once {!shutdown} has run and both the
-    connection handlers and the service workers have drained and joined. *)
+(** Blocking accept loop; returns once {!shutdown} has run, the
+    connection handlers have drained and joined, and the service has
+    stopped. *)
 let serve t =
   let spawn conn =
     Domain.spawn (fun () ->
@@ -221,8 +223,7 @@ let serve t =
   accept_loop ();
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (* Drain: handlers finish their in-flight batches against half-closed
-     sockets, then the service stops — queues close, workers execute what
-     remains, quiesce, join. *)
+     sockets, then the service stops — each shard context quiesces. *)
   Mutex.lock t.conns_m;
   let conns = t.conns in
   Mutex.unlock t.conns_m;

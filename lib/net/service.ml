@@ -4,105 +4,106 @@
 
     Keys are hashed across [shards] independent partitions.  Each shard is
     an {!Oa_structures.Hash_table} over its own arena with its own
-    instance of the caller-selected SMR scheme, served by
-    [workers_per_shard] dedicated domains that pull from a bounded
-    per-shard {!Shard_queue} (reject-with-BUSY backpressure, batched
-    dequeue).  With one worker per shard the layout is shared-nothing;
-    with more, the workers contend on the shard's lock-free table and its
+    instance of the caller-selected SMR scheme, and keeps
+    [workers_per_shard] {e execution contexts}: each one SMR registration
+    plus the buffers a batch runs through, behind a mutex.  With one
+    context per shard the shard's operations are serialised; with more,
+    the borrowers contend on the shard's lock-free table and its
     reclamation scheme exactly as the paper's benchmark threads do — but
     behind a real request path whose tail latency makes reclamation stalls
     visible.
 
-    Completion is by rendezvous, one pipelined round at a time: a
-    connection handler stages the requests of one pipelined read in its
-    {!batch} ({!stage}), and {!await} hands each shard its share of the
-    round in one {!Shard_queue.push_many} — one queue lock and at most
-    one wakeup per shard per round — then blocks until the workers have
-    counted the round down.  A worker completes each run of consecutive
-    dequeued items from one batch under a single acquisition of the batch
-    mutex, which is the required happens-before edge between worker and
-    handler domains.  A handler keeps one batch for its whole life.
+    Rounds run to completion on the caller's domain: a connection handler
+    stages the requests of one pipelined read in its {!batch} ({!stage}),
+    and {!await} groups the round by shard, borrows a context of each
+    shard with a share, runs the share on the calling domain and returns
+    the context.  No request crosses a domain, so there is no queue, no
+    wakeup and no rendezvous; the context mutex is the happens-before
+    edge between the domains that borrow one registration in turn.  A
+    handler holds at most one context at a time, and only while its share
+    runs — never across socket I/O — so a stalled client cannot pin a
+    registration.
 
-    BUSY rule: what a full queue rejects is a tail of that shard's share;
-    {!await} marks each rejected item [busy] (and [failed]: it never ran,
-    so its [result] is meaningless) and counts it in {!busy_rejections}.
-    The caller learns of a rejection only from [item.busy] after
-    {!await}. *)
+    BUSY rule: after {!stop} a share finds its context closed; {!await}
+    marks each of its items [busy] (and [failed]: it never ran, so its
+    [result] is meaningless) and counts it in {!busy_rejections}. *)
 
 module I = Oa_core.Smr_intf
 module Schemes = Oa_smr.Schemes
 
 type op_kind = Get | Insert | Delete
 
-(* A batch is one connection's rendezvous, reused round after round.
-   Between rounds no worker holds a reference to it, so the staging
-   fields are the handler's alone; [pending] is written by workers under
-   [bm] while a round is in flight. *)
+(* A batch is one connection's round, reused round after round; it is
+   the handler's alone. *)
 type batch = {
-  bm : Mutex.t;
-  bc : Condition.t;
-  mutable pending : int;  (** published items not yet completed *)
+  slot : int;  (** which of a shard's contexts this batch tries first *)
   mutable route : route;  (** the service this batch stages for *)
   mutable staged : item array;  (** this round, in submission order *)
   mutable staged_shard : int array;  (** each staged item's shard *)
   mutable n : int;  (** items staged this round *)
   mutable order : item array;  (** this round grouped by shard *)
   mutable offsets : int array;  (** per-shard positions in [order] *)
+  mutable waiting : int array;  (** shards whose contexts were all busy *)
 }
 
 and item = {
   kind : op_kind;
   key : int;
-  batch : batch;
   mutable result : bool;
   mutable failed : bool;
       (** [result] is invalid: the shard operation raised, or the request
           was rejected ([busy]) and never ran *)
   mutable busy : bool;
-      (** the shard queue was full: not executed, answer BUSY *)
+      (** the service was stopped: not executed, answer BUSY *)
 }
 
-(* What {!await} needs of the service: its shard queues and the BUSY
+(* What {!await} needs of the service: each shard's contexts and the BUSY
    counter. *)
-and route = { queues : item Shard_queue.t array; rejections : int Atomic.t }
+and route = { contexts : context array array; rejections : int Atomic.t }
 
-let no_route = { queues = [||]; rejections = Atomic.make 0 }
+(* An execution context.  [run items pos len] executes
+   [items.(pos .. pos+len-1)] and writes each answer into its item; only
+   the holder of [lock] calls it, and [closed] (set by {!stop}, under
+   [lock]) refuses every later share. *)
+and context = {
+  lock : Mutex.t;
+  mutable closed : bool;
+  run : item array -> int -> int -> unit;
+  quiesce : unit -> unit;
+  obs : Oa_obs.Recorder.t option;
+}
+
+let no_route = { contexts = [||]; rejections = Atomic.make 0 }
+
+(* Consecutive batches prefer different contexts of a shard. *)
+let next_slot = Atomic.make 0
 
 let new_batch () =
   {
-    bm = Mutex.create ();
-    bc = Condition.create ();
-    pending = 0;
+    slot = Atomic.fetch_and_add next_slot 1;
     route = no_route;
     staged = [||];
     staged_shard = [||];
     n = 0;
     order = [||];
     offsets = [||];
+    waiting = [||];
   }
 
-(* Fills free queue slots, idle worker buffers and unused staging slots:
-   never completed, never read. *)
+(* Fills unused staging slots: never executed, never read. *)
 let dummy_item =
-  {
-    kind = Get;
-    key = 0;
-    batch = new_batch ();
-    result = false;
-    failed = false;
-    busy = false;
-  }
+  { kind = Get; key = 0; result = false; failed = false; busy = false }
 
 type config = {
   scheme : Schemes.id;
   shards : int;
   workers_per_shard : int;
+      (** execution contexts per shard; a durable shard takes exactly one *)
   prefill : int;  (** distinct keys inserted across all shards before serving *)
   key_range : int;  (** keys are expected in [1..key_range] (advisory) *)
   delta : int;  (** arena slack beyond the prefill share, per shard *)
   chunk_size : int;
-  queue_capacity : int;  (** per shard *)
-  dequeue_batch : int;
+  dequeue_batch : int;  (** the most requests per batched-path call *)
   seed : int;
   elastic : bool;
       (** back each shard with the elastic chunked arena ({!Oa_alloc}):
@@ -111,13 +112,12 @@ type config = {
       (** root of the durability subsystem (docs/persistence.md): each
           shard keeps a write-ahead log and checkpoint under
           [<data-dir>/shard-<i>/]; effective mutations are logged and
-          group-commit-fsynced {e before} their rendezvous completes, so
-          an acked write survives a crash.  [None] = volatile service. *)
+          group-commit-fsynced {e before} their round completes, so an
+          acked write survives a crash.  [None] = volatile service. *)
   segment_bytes : int;  (** WAL segment rotation threshold *)
   ckpt_every : int;
-      (** records between mid-run checkpoints (single-worker shards
-          only); [<= 0] disables mid-run checkpoints — one is still
-          written at {!stop} *)
+      (** records between mid-run checkpoints; [<= 0] disables mid-run
+          checkpoints — one is still written at {!stop} *)
 }
 
 let default_config =
@@ -129,7 +129,6 @@ let default_config =
     key_range = 8_000;
     delta = 8_000;
     chunk_size = 126;
-    queue_capacity = 1_024;
     dequeue_batch = 64;
     seed = 1;
     elastic = false;
@@ -138,26 +137,24 @@ let default_config =
     ckpt_every = 50_000;
   }
 
-(* Per-worker operation bundle; built on the worker's own domain.
-   [exec_batch] executes a whole dequeued batch, in submission order,
-   through the structure's batched path (Hash_table.run_batch).  Kinds
-   and keys arrive as two parallel arrays of immediates rather than an
-   array of pairs: the batched path competes with a per-op loop that
-   allocates nothing, so it must not pay a tuple and a record per
-   request either. *)
+(* One registration's operation bundle.  [exec_batch] executes a whole
+   batch, in submission order, through the structure's batched path
+   (Hash_table.run_batch).  Kinds and keys arrive as two parallel arrays
+   of immediates rather than an array of pairs: the batched path
+   competes with a per-op loop that allocates nothing, so it must not pay
+   a tuple and a record per request either. *)
 type worker_ops = {
   exec : op_kind -> int -> bool;
   exec_batch : n:int -> op_kind array -> int array -> bool array -> unit;
       (** execute the first [n] entries of the parallel arrays through
           the batched path, filling results in place — the arrays are
-          the worker's preallocated buffers, reused across rendezvous *)
+          the context's preallocated buffers, reused across rounds *)
   quiesce : unit -> unit;
 }
 
 (* The per-shard handle: scheme/structure types are erased into closures,
    as in [Oa_harness.Experiment]. *)
 type shard = {
-  queue : item Shard_queue.t;
   register : unit -> worker_ops;
   size : unit -> int;  (** quiescent only *)
   contents : unit -> int array;  (** full key set; quiescent only *)
@@ -186,7 +183,6 @@ type t = {
   recovered_records : int;  (** WAL records replayed at startup *)
   recovered_ckpt_keys : int;  (** checkpoint keys loaded at startup *)
   mutable replica : bool;  (** serving as a read-only follower *)
-  mutable workers : unit Domain.t array;
   mutable stopped : bool;
 }
 
@@ -202,7 +198,7 @@ let shard_index ~shards key = ((key * 0x2545F4914F6CDD1D) lsr 33) mod shards
    bucket heads take [head_words] more, one word per bucket; 2^20 words
    (8 MiB of address space) more hold over 16 000 registrations' rows —
    each a hazard row and a warning cell of two lines apiece, plus pool
-   cells — far more than the worker, prefill and recovery registrations a
+   cells — far more than the context, prefill and recovery registrations a
    shard makes.  The reservation is never smaller than the backend's
    default, so only a budget past the default grows it.  Pages are
    committed only when touched, so a large budget costs address space,
@@ -248,7 +244,7 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
   (* The shard arena feeds the sink's gauge pool: same-named gauges from
      all shards are summed into one service-wide view per snapshot. *)
   Oa_obs.Sink.attach_gauges obs (fun () -> H.gauges tbl);
-  (* Recovery, before any worker exists: load the checkpoint's key set,
+  (* Recovery, before any context exists: load the checkpoint's key set,
      then replay the retained WAL records — both through the structure's
      batched path, from the main domain's registration (the same pattern
      prefill uses). *)
@@ -306,7 +302,6 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
            summary.Oa_store.Recovery.ckpt_keys) )
   in
   ( {
-      queue = Shard_queue.create ~capacity:cfg.queue_capacity ~dummy:dummy_item;
       register =
         (fun () ->
           let ctx = H.register tbl in
@@ -337,6 +332,172 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
     },
     recovered )
 
+(* A shard's execution context: batched execute, group-commit log, then
+   the answers — in that order, because an answer is the client's ack and
+   an acked mutation must already be durable (docs/persistence.md).  A
+   durable shard has one context, so its appends run in the order its
+   batches execute: WAL order is execution order.
+
+   A share runs in chunks of at most [dequeue_batch] items.  A chunk of
+   two or more items runs through the scheme's amortised batched path
+   ([worker_ops.exec_batch]); a single item takes the per-op path.  An
+   exception from the batched path (e.g. [Arena_exhausted] under an
+   undersized delta) falls back to per-item execution so that only the
+   poisoned item fails; insert/delete are idempotent on the set, so
+   re-running the chunk's already-applied prefix in the fallback cannot
+   corrupt state (it can only change the boolean answers of that
+   exceptional chunk).
+
+   A raise from the log step (a WAL write, fsync, rotation or checkpoint
+   failing) leaves the chunk's effects of unknown durability: none of its
+   items is acked — all are answered [failed] — and the shard turns
+   read-only ({!store_errors}).  From then on its contexts answer every
+   mutation [failed] without executing it and still serve gets.
+
+   Every buffer a share touches — kinds, keys, results, the WAL record
+   staging — is a per-context array allocated once and reused, so the
+   steady-state hot path allocates nothing per operation. *)
+let make_context t (shard : shard) =
+  let ops = shard.register () in
+  let rec_opt = Oa_obs.Sink.register t.sink in
+  let cap = max 1 t.cfg.dequeue_batch in
+  let kinds = Array.make cap Get in
+  let keys = Array.make cap 0 in
+  let results = Array.make cap false in
+  let failed = Array.make cap false in
+  let wops = Array.make cap Oa_store.Record.Insert in
+  let wkeys = Array.make cap 0 in
+  let fail i =
+    Atomic.incr t.exec_errors;
+    results.(i) <- false;
+    failed.(i) <- true
+  in
+  let exec_fallback i =
+    match ops.exec kinds.(i) keys.(i) with
+    | r ->
+        results.(i) <- r;
+        failed.(i) <- false
+    | exception _ -> fail i
+  in
+  (* Stage and commit this chunk's effective mutations: one append, one
+     fsync.  [conservative] is set when the fallback path ran: its
+     booleans no longer prove which prefix operations already mutated the
+     table, so every non-failed mutation is logged — over-logging is safe
+     (replaying a no-op insert/delete is a no-op), under-logging could
+     lose an acked write. *)
+  let log_batch st ~n ~conservative =
+    let m = ref 0 in
+    for i = 0 to n - 1 do
+      if (not failed.(i)) && (results.(i) || conservative) then begin
+        match kinds.(i) with
+        | Get -> ()
+        | Insert ->
+            wops.(!m) <- Oa_store.Record.Insert;
+            wkeys.(!m) <- keys.(i);
+            incr m
+        | Delete ->
+            wops.(!m) <- Oa_store.Record.Delete;
+            wkeys.(!m) <- keys.(i);
+            incr m
+      end
+    done;
+    if !m > 0 then begin
+      let last, rotated = Oa_store.Shard_store.append st ~n:!m wops wkeys in
+      Atomic.fetch_and_add t.wal_records !m |> ignore;
+      let t0 = Oa_runtime.Clock.now_ns () in
+      let issued = Oa_store.Shard_store.sync st ~upto:last in
+      if issued || rotated then Atomic.incr t.wal_fsyncs;
+      (match rec_opt with
+      | None -> ()
+      | Some r ->
+          Oa_obs.Recorder.add r Oa_obs.Event.Wal_append !m;
+          if rotated then Oa_obs.Recorder.incr r Oa_obs.Event.Wal_fsync;
+          if issued then begin
+            Oa_obs.Recorder.incr r Oa_obs.Event.Wal_fsync;
+            Oa_obs.Recorder.observe r "wal_fsync_ns"
+              (Oa_runtime.Clock.now_ns () - t0)
+          end);
+      (* Mid-run checkpoint: this context is the durable shard's only
+         one, and its holder the sole mutator, so quiescing it makes the
+         table safe to snapshot (the rss-curve bench established
+         quiesce-then-continue). *)
+      if Oa_store.Shard_store.wants_checkpoint st then begin
+        ops.quiesce ();
+        ignore
+          (Oa_store.Shard_store.checkpoint st ~keys:(shard.contents ())
+             ~gauges:(shard.mem_gauges ()));
+        Atomic.incr t.ckpts;
+        match rec_opt with
+        | None -> ()
+        | Some r -> Oa_obs.Recorder.incr r Oa_obs.Event.Ckpt
+      end
+    end
+  in
+  let execute n =
+    let conservative = ref false in
+    if n >= 2 then begin
+      match ops.exec_batch ~n kinds keys results with
+      | () -> Array.fill failed 0 n false
+      | exception _ ->
+          conservative := true;
+          for i = 0 to n - 1 do
+            exec_fallback i
+          done
+    end
+    else exec_fallback 0;
+    match shard.persist with
+    | None -> ()
+    | Some st -> (
+        try log_batch st ~n ~conservative:!conservative
+        with e ->
+          for i = 0 to n - 1 do
+            if not failed.(i) then fail i
+          done;
+          ignore
+            (Atomic.compare_and_set shard.store_error None
+               (Some (Printexc.to_string e))))
+  in
+  (* The counters move before the handler reads its answers, so a client
+     holding its reply already sees its request in STATS [processed]. *)
+  let run items pos len =
+    Atomic.fetch_and_add t.processed len |> ignore;
+    (match rec_opt with
+    | None -> ()
+    | Some r ->
+        Oa_obs.Recorder.add r Oa_obs.Event.Req_done len;
+        Oa_obs.Recorder.observe r "net_batch" len);
+    let stop = pos + len in
+    let pos = ref pos in
+    while !pos < stop do
+      let base = !pos in
+      let n = min cap (stop - base) in
+      for i = 0 to n - 1 do
+        kinds.(i) <- items.(base + i).kind;
+        keys.(i) <- items.(base + i).key
+      done;
+      if Atomic.get shard.store_error = None then execute n
+      else
+        for i = 0 to n - 1 do
+          match kinds.(i) with
+          | Get -> exec_fallback i
+          | Insert | Delete -> fail i
+        done;
+      for i = 0 to n - 1 do
+        let it = items.(base + i) in
+        it.result <- results.(i);
+        it.failed <- failed.(i)
+      done;
+      pos := base + n
+    done
+  in
+  {
+    lock = Mutex.create ();
+    closed = false;
+    run;
+    quiesce = ops.quiesce;
+    obs = rec_opt;
+  }
+
 (* The OCaml major heap in bytes: the part of RSS that is neither the
    flat arena nor code. *)
 let heap_bytes () = (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8)
@@ -345,6 +506,13 @@ let create ?(obs = Oa_obs.Sink.create ()) (cfg : config) : t =
   if cfg.shards <= 0 then invalid_arg "Service.create: shards must be positive";
   if cfg.workers_per_shard <= 0 then
     invalid_arg "Service.create: workers_per_shard must be positive";
+  (* Two contexts of one durable shard would each execute, then append:
+     one could append a delete of k before the other appends the insert
+     of k it executed first, and replay would restore k. *)
+  if cfg.data_dir <> None && cfg.workers_per_shard > 1 then
+    invalid_arg
+      "Service.create: a durable shard takes one execution context \
+       (workers_per_shard = 1)";
   let pairs = Array.init cfg.shards (fun index -> make_shard ~obs ~index ~cfg) in
   let shards = Array.map fst pairs in
   let recovered_records =
@@ -407,220 +575,40 @@ let create ?(obs = Oa_obs.Sink.create ()) (cfg : config) : t =
             end)
       shards
   end;
-  {
-    cfg;
-    sink = obs;
+  let t =
+    {
+      cfg;
+      sink = obs;
+      shards;
+      route =
+        { contexts = Array.make cfg.shards [||]; rejections = Atomic.make 0 };
+      processed = Atomic.make 0;
+      exec_errors = Atomic.make 0;
+      wal_records = Atomic.make 0;
+      wal_fsyncs = Atomic.make 0;
+      ckpts = Atomic.make 0;
+      recovered_records;
+      recovered_ckpt_keys;
+      replica = false;
+      stopped = false;
+    }
+  in
+  Array.iteri
+    (fun s shard ->
+      t.route.contexts.(s) <-
+        Array.init cfg.workers_per_shard (fun _ -> make_context t shard))
     shards;
-    route =
-      { queues = Array.map (fun s -> s.queue) shards; rejections = Atomic.make 0 };
-    processed = Atomic.make 0;
-    exec_errors = Atomic.make 0;
-    wal_records = Atomic.make 0;
-    wal_fsyncs = Atomic.make 0;
-    ckpts = Atomic.make 0;
-    recovered_records;
-    recovered_ckpt_keys;
-    replica = false;
-    workers = [||];
-    stopped = false;
-  }
+  t
 
-(* The worker loop: batched dequeue, batched execute, group-commit log,
-   rendezvous — in that order, because completion is the client's ack and
-   an acked mutation must already be durable (docs/persistence.md).
+(** A no-op kept for embedders: the contexts exist from {!create} on, and
+    rounds run on the caller's domain. *)
+let start (_ : t) = ()
 
-   A dequeued batch of two or more items runs through the scheme's
-   amortised batched path ([worker_ops.exec_batch]); single items take
-   the per-op path.  An exception from the batched path (e.g.
-   [Arena_exhausted] under an undersized delta) falls back to per-item
-   execution so that only the poisoned item fails, never the worker;
-   insert/delete are idempotent on the set, so re-running the batch's
-   already-applied prefix in the fallback cannot corrupt state (it can
-   only change the boolean answers of that exceptional batch).
-
-   A raise from the log step (a WAL write, fsync, rotation or checkpoint
-   failing) leaves the round's effects of unknown durability: none of its
-   items is acked — all are answered [failed] — and the shard turns
-   read-only ({!store_errors}).  From then on its workers answer every
-   mutation [failed] without executing it and still serve gets.
-
-   Every buffer the loop touches per rendezvous — dequeued items, kinds,
-   keys, results, the WAL record staging — is a per-worker array
-   allocated once and reused, so the steady-state hot path allocates
-   nothing per operation (the former per-batch list/array/closure chain
-   showed up directly in bench-core's batched-throughput numbers). *)
-let worker_loop t (shard : shard) =
-  let ops = shard.register () in
-  let rec_opt = Oa_obs.Sink.register t.sink in
-  let cap = max 1 t.cfg.dequeue_batch in
-  let items = Array.make cap dummy_item in
-  let kinds = Array.make cap Get in
-  let keys = Array.make cap 0 in
-  let results = Array.make cap false in
-  let failed = Array.make cap false in
-  let wops = Array.make cap Oa_store.Record.Insert in
-  let wkeys = Array.make cap 0 in
-  (* Complete the [n] dequeued items: each run of consecutive items from
-     one batch under one lock of that batch and at most one signal.  The
-     counters move first, so a client holding its reply already sees its
-     request in STATS [processed].  Once a run's lock is released its
-     batch is the handler's again: only the worker's own [items] slots
-     are touched after that. *)
-  let complete n =
-    Atomic.fetch_and_add t.processed n |> ignore;
-    (match rec_opt with
-    | None -> ()
-    | Some r -> Oa_obs.Recorder.add r Oa_obs.Event.Req_done n);
-    let i = ref 0 in
-    while !i < n do
-      let b = items.(!i).batch in
-      let j = ref !i in
-      Mutex.lock b.bm;
-      while !j < n && items.(!j).batch == b do
-        let it = items.(!j) in
-        it.result <- results.(!j);
-        it.failed <- failed.(!j);
-        (* drop the reference so a completed item is collectable before
-           this slot's next reuse *)
-        items.(!j) <- dummy_item;
-        incr j
-      done;
-      b.pending <- b.pending - (!j - !i);
-      if b.pending = 0 then Condition.signal b.bc;
-      Mutex.unlock b.bm;
-      i := !j
-    done
-  in
-  let fail i =
-    Atomic.incr t.exec_errors;
-    results.(i) <- false;
-    failed.(i) <- true
-  in
-  let exec_fallback i =
-    match ops.exec kinds.(i) keys.(i) with
-    | r ->
-        results.(i) <- r;
-        failed.(i) <- false
-    | exception _ -> fail i
-  in
-  (* Stage and commit this rendezvous's effective mutations: one append,
-     one (often shared) fsync.  [conservative] is set when the fallback
-     path ran: its booleans no longer prove which prefix operations
-     already mutated the table, so every non-failed mutation is logged —
-     over-logging is safe (replaying a no-op insert/delete is a no-op),
-     under-logging could lose an acked write. *)
-  let log_batch st ~n ~conservative =
-    let m = ref 0 in
-    for i = 0 to n - 1 do
-      if (not failed.(i)) && (results.(i) || conservative) then begin
-        match kinds.(i) with
-        | Get -> ()
-        | Insert ->
-            wops.(!m) <- Oa_store.Record.Insert;
-            wkeys.(!m) <- keys.(i);
-            incr m
-        | Delete ->
-            wops.(!m) <- Oa_store.Record.Delete;
-            wkeys.(!m) <- keys.(i);
-            incr m
-      end
-    done;
-    if !m > 0 then begin
-      let last, rotated = Oa_store.Shard_store.append st ~n:!m wops wkeys in
-      Atomic.fetch_and_add t.wal_records !m |> ignore;
-      let t0 = Oa_runtime.Clock.now_ns () in
-      let issued = Oa_store.Shard_store.sync st ~upto:last in
-      if issued || rotated then Atomic.incr t.wal_fsyncs;
-      (match rec_opt with
-      | None -> ()
-      | Some r ->
-          Oa_obs.Recorder.add r Oa_obs.Event.Wal_append !m;
-          if rotated then Oa_obs.Recorder.incr r Oa_obs.Event.Wal_fsync;
-          if issued then begin
-            Oa_obs.Recorder.incr r Oa_obs.Event.Wal_fsync;
-            Oa_obs.Recorder.observe r "wal_fsync_ns"
-              (Oa_runtime.Clock.now_ns () - t0)
-          end);
-      (* Mid-run checkpoint, single-worker shards only: with this worker
-         as the shard's sole mutator, quiescing it makes the table safe
-         to snapshot (the rss-curve bench established quiesce-then-
-         continue); with more workers the snapshot would race, so those
-         shards checkpoint only at [stop]. *)
-      if t.cfg.workers_per_shard = 1 && Oa_store.Shard_store.wants_checkpoint st
-      then begin
-        ops.quiesce ();
-        ignore
-          (Oa_store.Shard_store.checkpoint st ~keys:(shard.contents ())
-             ~gauges:(shard.mem_gauges ()));
-        Atomic.incr t.ckpts;
-        match rec_opt with
-        | None -> ()
-        | Some r -> Oa_obs.Recorder.incr r Oa_obs.Event.Ckpt
-      end
-    end
-  in
-  let execute n =
-    let conservative = ref false in
-    if n >= 2 then begin
-      match ops.exec_batch ~n kinds keys results with
-      | () -> Array.fill failed 0 n false
-      | exception _ ->
-          conservative := true;
-          for i = 0 to n - 1 do
-            exec_fallback i
-          done
-    end
-    else exec_fallback 0;
-    match shard.persist with
-    | None -> ()
-    | Some st -> (
-        try log_batch st ~n ~conservative:!conservative
-        with e ->
-          for i = 0 to n - 1 do
-            if not failed.(i) then fail i
-          done;
-          ignore
-            (Atomic.compare_and_set shard.store_error None
-               (Some (Printexc.to_string e))))
-  in
-  let rec loop () =
-    match Shard_queue.pop_batch_into shard.queue items ~max:cap with
-    | 0, _ -> ops.quiesce ()
-    | n, depth ->
-        (match rec_opt with
-        | None -> ()
-        | Some r ->
-            Oa_obs.Recorder.observe r "net_queue_depth" depth;
-            Oa_obs.Recorder.observe r "net_batch" n);
-        for i = 0 to n - 1 do
-          kinds.(i) <- items.(i).kind;
-          keys.(i) <- items.(i).key
-        done;
-        if Atomic.get shard.store_error = None then execute n
-        else
-          for i = 0 to n - 1 do
-            match kinds.(i) with
-            | Get -> exec_fallback i
-            | Insert | Delete -> fail i
-          done;
-        complete n;
-        loop ()
-  in
-  loop ()
-
-let start t =
-  if Array.length t.workers > 0 then invalid_arg "Service.start: already started";
-  t.workers <-
-    Array.init
-      (t.cfg.shards * t.cfg.workers_per_shard)
-      (fun w ->
-        let shard = t.shards.(w mod t.cfg.shards) in
-        Domain.spawn (fun () -> worker_loop t shard))
-
-(** Close all queues and join the workers; each worker runs the scheme's
-    {!Oa_core.Smr_intf.S.quiesce} — the final reclamation pass — on its
-    way out.  Queued items are still executed and completed: callers that
-    submitted before [stop] get their answers (the drain guarantee).
+(** Take each context in turn, run the scheme's
+    {!Oa_core.Smr_intf.S.quiesce} on it — the final reclamation pass — and
+    close it: a share that borrows it afterwards is answered BUSY.  A
+    share already running finishes first, so callers whose round was
+    underway get their answers (the drain guarantee).
 
     Persistent shards then write a final checkpoint — the service is
     quiescent, so the snapshot is exact — and close their WALs: a clean
@@ -631,9 +619,15 @@ let start t =
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
-    Array.iter (fun s -> Shard_queue.close s.queue) t.shards;
-    Array.iter Domain.join t.workers;
-    t.workers <- [||];
+    Array.iter
+      (Array.iter (fun c ->
+           Mutex.lock c.lock;
+           if not c.closed then begin
+             c.closed <- true;
+             c.quiesce ()
+           end;
+           Mutex.unlock c.lock))
+      t.route.contexts;
     let rec_opt = Oa_obs.Sink.register t.sink in
     Array.iter
       (fun s ->
@@ -669,32 +663,54 @@ let grow (b : batch) =
   b.order <- Array.make cap dummy_item
 
 (** [stage t batch kind key] adds the operation to [batch]'s current
-    round and returns its item; nothing reaches a shard before {!await}.
-    Read [item.busy], [item.failed] and [item.result] after {!await}. *)
+    round and returns its item; nothing runs before {!await}.  Read
+    [item.busy], [item.failed] and [item.result] after {!await}. *)
 let stage t (b : batch) kind key =
   if b.route != t.route then begin
     if b.n > 0 then
       invalid_arg "Service.stage: batch has a round staged for another service";
     b.route <- t.route;
-    b.offsets <- Array.make (Array.length t.shards) 0
+    b.offsets <- Array.make (Array.length t.shards) 0;
+    b.waiting <- Array.make (Array.length t.shards) 0
   end;
   if b.n = Array.length b.staged then grow b;
-  let item = { kind; key; batch = b; result = false; failed = false; busy = false } in
+  let item = { kind; key; result = false; failed = false; busy = false } in
   b.staged.(b.n) <- item;
   b.staged_shard.(b.n) <- shard_index ~shards:t.cfg.shards key;
   b.n <- b.n + 1;
   item
 
 (** {!stage} with the signature of the per-request handoff, whose [None]
-    was an immediate BUSY.  Always [Some]: a rejection now shows as
+    was an immediate BUSY.  Always [Some]: a rejection shows as
     [item.busy] after {!await}. *)
 let submit t b kind key = Some (stage t b kind key)
 
-(** Publish the staged round — each shard's share, in submission order,
-    with one {!Shard_queue.push_many} — and block until every accepted
-    item is completed.  The rejected tail of a share is marked [busy] and
-    [failed] and counted in {!busy_rejections}.  The batch is then empty
-    and ready for the next round. *)
+(* Run [order.(lo .. hi-1)] on context [c], which the caller holds, and
+   release it. *)
+let run_share (b : batch) c lo hi =
+  if c.closed then begin
+    for j = lo to hi - 1 do
+      let it = b.order.(j) in
+      it.busy <- true;
+      it.failed <- true
+    done;
+    Atomic.fetch_and_add b.route.rejections (hi - lo) |> ignore
+  end
+  else begin
+    match c.run b.order lo (hi - lo) with
+    | () -> ()
+    | exception e ->
+        Mutex.unlock c.lock;
+        raise e
+  end;
+  Mutex.unlock c.lock
+
+(** Run the staged round on the calling domain, each shard's share in
+    submission order on a borrowed context of that shard, and return once
+    every item is answered.  One [try_lock] pass runs every share whose
+    shard has a free context; the others then wait, one shard at a time,
+    for a context — the wait is observed as [shard_wait_ns].  The batch is
+    then empty and ready for the next round. *)
 let await (b : batch) =
   let n = b.n in
   if n > 0 then begin
@@ -716,34 +732,40 @@ let await (b : batch) =
       offsets.(s) <- offsets.(s) - 1;
       b.order.(offsets.(s)) <- b.staged.(i)
     done;
-    (* [offsets.(s)] now starts shard [s]'s share.  No worker holds this
-       batch between rounds, and the queue mutex publishes [pending]
-       before any worker can complete an item of this round. *)
-    b.pending <- n;
-    let rejected = ref 0 in
+    (* [offsets.(s)] now starts shard [s]'s share; [waiting] collects
+       the shards whose contexts were all held *)
+    let waiting = ref 0 in
     for s = 0 to shards - 1 do
       let lo = offsets.(s) in
       let hi = if s = shards - 1 then n else offsets.(s + 1) in
       if hi > lo then begin
-        let k =
-          Shard_queue.push_many b.route.queues.(s) b.order ~pos:lo ~len:(hi - lo)
-        in
-        for j = lo + k to hi - 1 do
-          let it = b.order.(j) in
-          it.busy <- true;
-          it.failed <- true
+        let cs = b.route.contexts.(s) in
+        let k = Array.length cs in
+        let j = ref 0 in
+        while !j < k && not (Mutex.try_lock cs.((b.slot + !j) mod k).lock) do
+          incr j
         done;
-        rejected := !rejected + (hi - lo - k)
+        if !j < k then run_share b cs.((b.slot + !j) mod k) lo hi
+        else begin
+          b.waiting.(!waiting) <- s;
+          incr waiting
+        end
       end
     done;
-    if !rejected > 0 then
-      Atomic.fetch_and_add b.route.rejections !rejected |> ignore;
-    Mutex.lock b.bm;
-    b.pending <- b.pending - !rejected;
-    while b.pending > 0 do
-      Condition.wait b.bc b.bm
-    done;
-    Mutex.unlock b.bm
+    for w = 0 to !waiting - 1 do
+      let s = b.waiting.(w) in
+      let hi = if s = shards - 1 then n else offsets.(s + 1) in
+      let cs = b.route.contexts.(s) in
+      let c = cs.(b.slot mod Array.length cs) in
+      let t0 = Oa_runtime.Clock.now_ns () in
+      Mutex.lock c.lock;
+      (match c.obs with
+      | None -> ()
+      | Some r ->
+          Oa_obs.Recorder.observe r "shard_wait_ns"
+            (Oa_runtime.Clock.now_ns () - t0));
+      run_share b c offsets.(s) hi
+    done
   end
 
 type reply = Done of bool | Rejected | Failed
@@ -765,7 +787,6 @@ let config t = t.cfg
 let sink t = t.sink
 let processed t = Atomic.get t.processed
 let busy_rejections t = Atomic.get t.route.rejections
-let queue_depths t = Array.map (fun s -> Shard_queue.length s.queue) t.shards
 let persistent t = t.cfg.data_dir <> None
 let recovered_records t = t.recovered_records
 let recovered_ckpt_keys t = t.recovered_ckpt_keys
@@ -835,11 +856,11 @@ let chunks_live t = mem_gauge t "mem_chunks_live"
 
 (** The STATS response payload: a versioned flat vector (field order is
     part of the wire contract; new fields append, see docs/server.md).
-    [| scheme; shards; workers_per_shard; queue_capacity; processed;
+    [| scheme; shards; workers_per_shard; 0; processed;
        busy; exec_errors; dequeue_batch; mem_chunks_live; mem_rss_bytes;
        persistent; wal_records; wal_fsyncs; checkpoints; replica |]
-    where [scheme] indexes {!Schemes.all_ids} and [persistent]/[replica]
-    are 0/1 flags. *)
+    where [scheme] indexes {!Schemes.all_ids}, [persistent]/[replica]
+    are 0/1 flags, and slot 3 — the former queue capacity — reads 0. *)
 let stats_payload t =
   let scheme_idx =
     let rec find i = function
@@ -852,7 +873,7 @@ let stats_payload t =
     scheme_idx;
     t.cfg.shards;
     t.cfg.workers_per_shard;
-    t.cfg.queue_capacity;
+    0;
     Atomic.get t.processed;
     Atomic.get t.route.rejections;
     Atomic.get t.exec_errors;

@@ -11,7 +11,7 @@ type t = {
   pipeline : int;
   batch : int;  (** requests per client write group (<= pipeline) *)
   server_batch : int;
-      (** the server's dequeue batch bound, from the STATS probe; 0 when
+      (** the server's batched-path bound, from the STATS probe; 0 when
           the server predates the field *)
   elapsed : float;  (** seconds *)
   ops : int;  (** responses received (including BUSY) *)

@@ -28,18 +28,18 @@
 
     - {!Conn_open} / {!Conn_close} — a client connection accepted /
       finished (gracefully or on error).
-    - {!Req_enq} — a request accepted into a shard queue; counted by the
-      connection handler once its round's rendezvous is over, when the
-      handoff has settled which requests the queues took.
-    - {!Req_done} — a response produced by a shard worker (added once
-      per dequeue).
-    - {!Req_busy} — a request rejected with BUSY because its shard queue
-      was full (the backpressure path); counted with {!Req_enq}.
+    - {!Req_enq} — a request accepted and run; counted by the connection
+      handler once its round is answered.
+    - {!Req_done} — a response produced by a shard's execution context
+      (added once per share).
+    - {!Req_busy} — a request rejected with BUSY because its round ran
+      after the service stopped; counted with {!Req_enq}.
     - {!Proto_error} — a malformed frame on a connection (the connection
       is closed after an ERROR response, never an escaped exception).
 
-    The service additionally records [net_queue_depth] (shard queue depth
-    sampled at every dequeue) and [net_batch] (dequeue batch size)
+    The service additionally records [net_batch] (requests per share a
+    handler runs) and [shard_wait_ns] (time a handler blocked on a busy
+    execution context, observed only after a failed [try_lock])
     histograms through the same recorders.
 
     The [Oa_store] durability layer (docs/persistence.md) adds:
@@ -47,13 +47,13 @@
     - {!Wal_append} — a mutation record appended to a shard's write-ahead
       log (counted per record, so volumes compare against [Req_done]).
     - {!Wal_fsync} — a group-commit [fsync] actually issued (skipped
-      syncs, where another worker's fsync already covered the batch, are
-      not counted).
+      syncs, where an earlier fsync already covered the batch, are not
+      counted).
     - {!Ckpt} — a quiesce-anchored checkpoint written (and the WAL
       truncated behind it).
     - {!Replay} — a WAL record re-applied during crash recovery.
 
-    Workers additionally record the [wal_fsync_ns] histogram — the
+    Shard contexts additionally record the [wal_fsync_ns] histogram — the
     latency of each issued group-commit fsync. *)
 
 type t =

@@ -3,11 +3,11 @@
 
     One [Wal.t] belongs to one shard directory.  Appends assign strictly
     increasing sequence numbers and write whole batches with a single
-    [write(2)]; durability is a separate step ({!sync}) so that a worker
-    can ride one [fsync] for a whole batch rendezvous — and so that
-    concurrent workers can {e share} one: [sync ~upto] returns without
-    touching the disk when another worker's fsync already covered [upto]
-    (classic group commit).
+    [write(2)]; durability is a separate step ({!sync}) so that a whole
+    batch can ride one [fsync] — and so that concurrent writers can
+    {e share} one: [sync ~upto] returns without touching the disk when
+    another writer's fsync already covered [upto] (classic group
+    commit).
 
     Rotation seals the current segment once it exceeds [segment_bytes]:
     the old segment is fsynced and closed, a fresh one is created (and the

@@ -6,7 +6,7 @@
    per-operation path itself — the normalized driver, the search, the
    CAS descriptors and every barrier — must allocate nothing.  The same
    gate covers a network shard's per-operation entry point
-   ([Service.make_shard]'s [exec], what a worker rendezvous runs), and
+   ([Service.make_shard]'s [exec], what a shard context runs), and
    a volatile service's prefill is held to one word per key.  The skip
    list and the queue run the same measurement and report their
    words/op without a gate. *)

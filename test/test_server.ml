@@ -3,7 +3,8 @@
    model.
 
    Each concurrent client owns a disjoint key range, so its operations on
-   its own keys are totally ordered (one connection, FIFO shard queues)
+   its own keys are totally ordered (one connection, whose rounds run in
+   order and each shard's share in submission order)
    and every response must match a sequential replay: GET k = presence,
    INSERT k succeeds iff absent, DELETE k succeeds iff present.  A final
    single-client sweep checks the surviving state key by key, a pipelined
@@ -108,7 +109,6 @@ let run_stack ?(dequeue_batch = 16) scheme =
       prefill = key_range / 2;
       key_range;
       delta = 4_000;
-      queue_capacity = 512;
       dequeue_batch;
     }
   in
@@ -180,17 +180,17 @@ let run_stack ?(dequeue_batch = 16) scheme =
   Alcotest.(check int)
     "table size = model cardinality" model_size
     (Array.fold_left ( + ) 0 r.Sv.sizes);
-  (* every enqueued request was executed before the workers left *)
+  (* every accepted request was executed before the service stopped *)
   let sink = Sv.sink service in
   Alcotest.(check int)
     "Req_enq = Req_done after drain"
     (Oa_obs.Sink.total sink Oa_obs.Event.Req_enq)
     (Oa_obs.Sink.total sink Oa_obs.Event.Req_done);
   Alcotest.(check bool) "no exec errors" true (r.Sv.exec_errors = 0);
-  (* The worker loop routes multi-request dequeues through the scheme's
-     batched path, which records its amortisation histogram; with
-     pipelined clients against 2 single-worker shards, multi-request
-     dequeues are guaranteed.  Per-op servers must never touch it. *)
+  (* A share of two or more requests runs through the scheme's batched
+     path, which records its amortisation histogram; with pipelined
+     clients against 2 shards, such shares are guaranteed.  Per-op
+     servers must never touch it. *)
   let batched_ops =
     match
       Oa_obs.Snapshot.find_hist (Oa_obs.Sink.snapshot sink)
@@ -218,7 +218,6 @@ let run_drain_under_load scheme =
       prefill = key_range / 2;
       key_range;
       delta = 4_000;
-      queue_capacity = 512;
       dequeue_batch = 16;
     }
   in
@@ -516,117 +515,145 @@ let run_store_failure () =
   Alcotest.(check int) "failures counted" 102 r.Sv.exec_errors;
   Alcotest.(check int) "no checkpoint written" 0 r.Sv.checkpoints
 
-(* --- the round handoff --- *)
+(* --- shared keys through borrowed contexts --- *)
 
-let small_service ?(shards = 1) ~queue_capacity () =
+(* [domains] domains each run [rounds] stage/await rounds of 32
+   operations over keys 1..64 of [service]; returns the net number of
+   keys their acked inserts and deletes added. *)
+let race service ~domains ~rounds =
+  let one d =
+    Domain.spawn (fun () ->
+        let rng = Oa_util.Splitmix.create (77 + d) in
+        let b = Sv.new_batch () in
+        let net = ref 0 in
+        for _ = 1 to rounds do
+          let items =
+            Array.init 32 (fun _ ->
+                let key = 1 + Oa_util.Splitmix.below rng 64 in
+                let kind =
+                  match Oa_util.Splitmix.below rng 3 with
+                  | 0 -> Sv.Get
+                  | 1 -> Sv.Insert
+                  | _ -> Sv.Delete
+                in
+                Sv.stage service b kind key)
+          in
+          Sv.await b;
+          Array.iter
+            (fun (it : Sv.item) ->
+              if it.busy || it.failed then
+                Alcotest.fail "operation not executed";
+              match it.kind with
+              | Sv.Insert when it.result -> incr net
+              | Sv.Delete when it.result -> decr net
+              | _ -> ())
+            items
+        done;
+        !net)
+  in
+  List.fold_left ( + ) 0 (List.map Domain.join (List.init domains one))
+
+(* One shard, two contexts, four domains on the same 64 keys: shares
+   borrow a free context or wait for one.  Every acked insert and delete
+   must account for the final size, the table must validate, and OA's
+   final pass must reclaim every node retired. *)
+let run_shared_volatile () =
+  within ~seconds:60. @@ fun () ->
   let service =
     Sv.create
       {
         Sv.default_config with
-        Sv.shards;
+        Sv.shards = 1;
+        workers_per_shard = 2;
         prefill = 0;
         key_range = 64;
-        queue_capacity;
-        dequeue_batch = queue_capacity;
       }
   in
-  Sv.start service;
-  service
+  let net = race service ~domains:4 ~rounds:2_000 in
+  Sv.stop service;
+  let r = Sv.drain_report service in
+  (match r.Sv.validation with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "validation: %s" e);
+  Alcotest.(check bool) "conservation" true r.Sv.conservation_ok;
+  Alcotest.(check int) "size = acked inserts - acked deletes" net
+    (Array.length (Sv.contents service));
+  Alcotest.(check bool) "deletes retired nodes" true (r.Sv.retired > 0);
+  Alcotest.(check int) "retired = reclaimed" r.Sv.retired r.Sv.reclaimed
 
-(* One round of 10 operations on a single idle shard whose queue holds 3:
-   the queue takes the round's first 3, the other 7 are marked busy and
-   never run, and the BUSY counter says 7. *)
-let run_rejected_tail () =
-  let service = small_service ~queue_capacity:3 () in
-  let batch = Sv.new_batch () in
-  let items = Array.init 10 (fun i -> Sv.stage service batch Sv.Insert (i + 1)) in
-  Sv.await batch;
-  Array.iteri
-    (fun i (it : Sv.item) ->
-      Alcotest.(check bool) (Printf.sprintf "item %d busy" i) (i >= 3) it.busy;
-      if i < 3 then
-        Alcotest.(check bool) (Printf.sprintf "item %d inserted" i) true it.result)
-    items;
-  Alcotest.(check int) "busy counter" 7 (Sv.busy_rejections service);
-  (* the batch is reusable, and the rejected inserts left no trace *)
-  for key = 1 to 10 do
-    let get = Sv.stage service batch Sv.Get key in
-    Sv.await batch;
-    Alcotest.(check bool) (Printf.sprintf "key %d present" key) (key <= 3)
-      get.result
-  done;
-  Sv.stop service
+(* One durable shard, two domains on the same 64 keys.  Once they have
+   joined, the shard directory is copied — before [stop], which would
+   checkpoint it — and the copy recovered: replaying the log in append
+   order must rebuild exactly the live table, so the log order is the
+   execution order. *)
+let run_shared_durable () =
+  let root =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "oa-test-shared-%d" (Unix.getpid ()))
+  in
+  rm_rf root;
+  Unix.mkdir root 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
+  within ~seconds:60. @@ fun () ->
+  let cfg data_dir =
+    {
+      Sv.default_config with
+      Sv.shards = 1;
+      prefill = 0;
+      key_range = 64;
+      data_dir = Some data_dir;
+      segment_bytes = 4_096;
+      ckpt_every = 500;
+    }
+  in
+  let live_dir = Filename.concat root "live" in
+  let copy_dir = Filename.concat root "copy" in
+  let service = Sv.create (cfg live_dir) in
+  ignore (race service ~domains:2 ~rounds:300);
+  let live = Sv.contents service in
+  let from = Oa_store.Shard_store.shard_dir ~data_dir:live_dir 0 in
+  let into = Oa_store.Shard_store.shard_dir ~data_dir:copy_dir 0 in
+  Unix.mkdir copy_dir 0o755;
+  Unix.mkdir into 0o755;
+  Array.iter
+    (fun name ->
+      let ic = open_in_bin (Filename.concat from name) in
+      let data = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let oc = open_out_bin (Filename.concat into name) in
+      output_string oc data;
+      close_out oc)
+    (Sys.readdir from);
+  Sv.stop service;
+  let recovered = Sv.create { (cfg copy_dir) with Sv.prefill = 0 } in
+  Alcotest.(check bool) "the log holds records" true
+    (Sv.recovered_records recovered + Sv.recovered_ckpt_keys recovered > 0);
+  Alcotest.(check (array int)) "recovered = live" live (Sv.contents recovered);
+  Sv.stop recovered
 
-(* A pipeline far larger than the only shard's queue: the queue takes a
-   prefix of the round and the rest is answered BUSY.  Rejected requests
-   must not have run (the model, fed only the non-BUSY replies, matches
-   every reply and the final state), and the three counts of them — BUSY
-   replies, STATS [busy] and the [req_busy] event total — must agree. *)
-let run_busy_pipeline () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let service = small_service ~queue_capacity:4 () in
-  let server = Srv.create ~port:0 ~service () in
-  let serving = Domain.spawn (fun () -> Srv.serve server) in
-  let client = connect (Srv.port server) in
-  let model = Array.make 17 false in
-  let rng = Oa_util.Splitmix.create 42 in
-  let busy_replies = ref 0 in
-  for round = 0 to 19 do
-    let reqs =
-      List.init 64 (fun i ->
-          let key = 1 + Oa_util.Splitmix.below rng 16 in
-          let op =
-            match Oa_util.Splitmix.below rng 3 with
-            | 0 -> P.Get key
-            | 1 -> P.Insert key
-            | _ -> P.Delete key
-          in
-          { P.id = (round * 64) + i; op })
-    in
-    let resps = get_ok (C.call client reqs) in
-    List.iter2
-      (fun (req : P.request) (r : P.response) ->
-        Alcotest.(check int) "reply order" req.id r.rid;
-        match (r.body, req.op) with
-        | P.Busy, _ -> incr busy_replies
-        | P.Bool b, P.Get k -> Alcotest.(check bool) "get" model.(k) b
-        | P.Bool b, P.Insert k ->
-            Alcotest.(check bool) "insert" (not model.(k)) b;
-            model.(k) <- true
-        | P.Bool b, P.Delete k ->
-            Alcotest.(check bool) "delete" model.(k) b;
-            model.(k) <- false
-        | b, _ -> Alcotest.failf "unexpected %s" (P.body_to_string b))
-      reqs resps
-  done;
-  if !busy_replies = 0 then Alcotest.fail "no request was rejected";
-  for k = 1 to 16 do
-    match get_ok (C.call_one client { P.id = k; op = P.Get k }) with
-    | { P.body = P.Bool b; _ } ->
-        Alcotest.(check bool) (Printf.sprintf "final state of key %d" k) model.(k) b
-    | r -> Alcotest.failf "sweep: %s" (P.body_to_string r.P.body)
-  done;
-  (match get_ok (C.call_one client { P.id = 0; op = P.Stats }) with
-  | { P.body = P.Stats_r vs; _ } ->
-      Alcotest.(check int) "STATS busy = BUSY replies" !busy_replies vs.(5)
-  | r -> Alcotest.failf "stats: %s" (P.body_to_string r.P.body));
-  C.close client;
-  Srv.shutdown server;
-  Domain.join serving;
-  Alcotest.(check int) "req_busy = BUSY replies" !busy_replies
-    (Oa_obs.Sink.total (Sv.sink service) Oa_obs.Event.Req_busy)
+(* --- the round handoff --- *)
 
-(* The replica applies the primary's log through apply_muts, on a
-   service whose queues hold 2 records each, so most rounds are cut short
-   and retried.  Each trial stages, on shard 0, two inserts that fill its
-   queue and then an insert of [c]; then a run of records for shard 1,
-   which gives shard 0's worker time to drain; then the delete of [c].
-   Pushed one by one, the insert of [c] would bounce off the full queue
-   and the delete would find room: the retry would then apply the insert
-   last and leave [c] present.  The replica must instead end each trial
+let small_service ?(shards = 1) ?(workers = 1) ?(dequeue_batch = 64) () =
+  Sv.create
+    {
+      Sv.default_config with
+      Sv.shards;
+      workers_per_shard = workers;
+      prefill = 0;
+      key_range = 64;
+      dequeue_batch;
+    }
+
+(* The replica applies the primary's log through apply_muts, one round
+   per batch of records.  Each trial stages, on shard 0, two flips and
+   then an insert of [c]; then a run of records for shard 1; then the
+   delete of [c].  Shares run in chunks of 2 on two contexts per shard
+   while another domain keeps both shards' contexts busy with reads, so
+   shares both borrow at once and wait.  The replica must end each trial
    with exactly what applying the records one by one leaves. *)
 let run_replica_order () =
-  let service = small_service ~shards:2 ~queue_capacity:2 () in
+  let service = small_service ~shards:2 ~workers:2 ~dequeue_batch:2 () in
   let on_shard s n =
     let rec go k acc n =
       if n = 0 then List.rev acc
@@ -639,8 +666,19 @@ let run_replica_order () =
     match on_shard 0 3 with [ x; y; c ] -> (x, y, c) | _ -> assert false
   in
   let fillers = on_shard 1 20 in
+  let reading = Atomic.make true in
+  let reader =
+    Domain.spawn (fun () ->
+        let b = Sv.new_batch () in
+        while Atomic.get reading do
+          for k = 1 to 64 do
+            ignore (Sv.stage service b Sv.Get k)
+          done;
+          Sv.await b
+        done)
+  in
   let model = Hashtbl.create 32 in
-  for trial = 1 to 20 do
+  for trial = 1 to 200 do
     let flip k = if trial mod 2 = 0 then (Sv.Insert, k) else (Sv.Delete, k) in
     let muts =
       [ flip x; flip y; (Sv.Insert, c) ]
@@ -658,6 +696,8 @@ let run_replica_order () =
         | _ -> Alcotest.failf "get %d not served" k)
       model
   done;
+  Atomic.set reading false;
+  Domain.join reader;
   Sv.stop service
 
 (* With a cap of 2, a third concurrent connection is answered with one
@@ -665,7 +705,7 @@ let run_replica_order () =
    served. *)
 let run_conn_cap () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let service = small_service ~queue_capacity:16 () in
+  let service = small_service () in
   let server = Srv.create ~port:0 ~max_conns:2 ~service () in
   let port = Srv.port server in
   let serving = Domain.spawn (fun () -> Srv.serve server) in
@@ -733,12 +773,8 @@ let () =
         ] );
       ( "handoff",
         [
-          Alcotest.test_case "await rejects the tail of a share" `Quick
-            run_rejected_tail;
-          Alcotest.test_case "BUSY pipeline leaves the model unchanged"
-            `Quick run_busy_pipeline;
-          Alcotest.test_case "replica keeps per-key order under BUSY" `Quick
-            run_replica_order;
+          Alcotest.test_case "replica keeps per-key order under contention"
+            `Quick run_replica_order;
           Alcotest.test_case "connection past the cap gets BUSY" `Quick
             run_conn_cap;
         ] );
@@ -750,6 +786,13 @@ let () =
             run_rc_side_tables;
           Alcotest.test_case "committed gauge counts bucket heads" `Quick
             run_committed_gauge;
+        ] );
+      ( "shared keys",
+        [
+          Alcotest.test_case "volatile: two contexts, four domains" `Quick
+            run_shared_volatile;
+          Alcotest.test_case "durable: log order is execution order" `Quick
+            run_shared_durable;
         ] );
       ( "store failure",
         [

@@ -233,7 +233,6 @@ let service_cfg ~data_dir =
     prefill = 0;
     key_range;
     delta = 2_000;
-    queue_capacity = 256;
     dequeue_batch = 16;
     data_dir = Some data_dir;
     segment_bytes = 2_048;
@@ -302,6 +301,19 @@ let test_prefill_restart () =
     (Sv.recovered_records service, Sv.recovered_ckpt_keys service);
   Alcotest.(check (array int)) "recovered state equals the prefill" before
     (Sv.contents service)
+
+(* Two execution contexts of one durable shard could append their
+   batches in another order than they executed them, so a restart could
+   replay an insert past the acked delete of the same key.  [create]
+   refuses the combination before it touches the data directory. *)
+let test_durable_contexts_refused () =
+  with_dir @@ fun dir ->
+  let cfg = { (service_cfg ~data_dir:dir) with Sv.workers_per_shard = 2 } in
+  (match Sv.create cfg with
+  | _ -> Alcotest.fail "a durable shard with two contexts was accepted"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "no shard directory made" false
+    (Sys.file_exists (Oa_store.Shard_store.shard_dir ~data_dir:dir 0))
 
 (* --- replay of a delete-heavy log --- *)
 
@@ -463,6 +475,8 @@ let () =
             `Quick test_prefill_restart;
           Alcotest.test_case "delete-heavy replay fits the default delta"
             `Quick test_replay_delete_heavy;
+          Alcotest.test_case "durable shard refuses two contexts" `Quick
+            test_durable_contexts_refused;
         ] );
       ( "replication",
         [
