@@ -113,14 +113,19 @@ tput_of () {
 }
 serve_loadgen_once () {
   # serve_loadgen_once SCHEME DEQUEUE_BATCH OUT_JSON
+  # The drain line is kept, and must leave nothing retired unreclaimed
+  # (in-flight=0): every scheme here frees its whole backlog at stop.
   ./_build/default/bin/oa_cli.exe serve --scheme "$1" --shards 2 \
-    --batch "$2" --port "$OA_SMOKE_PORT" &
+    --batch "$2" --port "$OA_SMOKE_PORT" > serve_smoke.log &
   OA_SERVE_PID=$!
   sleep 1
   ./_build/default/bin/oa_cli.exe loadgen --port "$OA_SMOKE_PORT" \
     --conns 4 --pipeline 64 --batch 64 --duration 4 --json "$3"
   kill -INT "$OA_SERVE_PID"
   wait "$OA_SERVE_PID"
+  cat serve_smoke.log
+  grep -q ' in-flight=0 ' serve_smoke.log
+  rm -f serve_smoke.log
   test -s "$3"
   OA_SMOKE_PORT=$(( OA_SMOKE_PORT + 1 ))
 }

@@ -1263,7 +1263,11 @@ let write_json path buf =
    larger sizes go through Hash_table.run_batch, in submission order,
    over preallocated parallel kind/key/result arrays — what a server
    shard context's [exec_batch] runs — so the delta against per-op is the
-   schemes' amortisation, not allocator traffic.
+   schemes' amortisation, not allocator traffic.  Unlike [exec_batch],
+   the batched arm does not call Hash_table.prefetch first: the windowed
+   stream's few hot buckets are cache-resident, so the pass would only
+   add its own cost, and bin/perf_gate.sh gates this delta as the
+   schemes' amortisation alone.
    Per-thread TSC spans are taken on each domain — the same
    same-thread-difference discipline the phase timers use. *)
 type core_run = {

@@ -337,11 +337,13 @@ module type S = sig
   (** Hand the calling thread's buffered retired nodes to the global
       machinery and attempt one reclamation pass (an HP/Anchors scan, an
       EBR epoch advance plus limbo sweep, an OA phase), regardless of the
-      scheme's thresholds.  Safe at any time — it reuses the same path the
-      scheme runs under allocation pressure — but intended for quiescence:
-      a draining server calls it from every worker before shutdown so the
-      final retire/reclaim accounting reflects everything reclaimable
-      rather than threshold residue.  Never raises {!Restart} in the
+      scheme's thresholds.  Safe between any two operations of the
+      calling thread — it reuses the same path the scheme runs under
+      allocation pressure, and HP first drops the read hazards its last
+      operation left published — but intended for quiescence: a draining
+      server calls it on every context before shutdown so the final
+      retire/reclaim accounting reflects everything reclaimable rather
+      than threshold residue.  Never raises {!Restart} in the
       calling thread (concurrent OA threads may be rolled back, as by any
       phase).  No-op for schemes that reclaim eagerly or not at all. *)
 

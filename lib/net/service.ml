@@ -70,7 +70,9 @@ and context = {
   mutable closed : bool;
   run : item array -> int -> int -> unit;
   quiesce : unit -> unit;
-  obs : Oa_obs.Recorder.t option;
+  wait_hist : Oa_obs.Histogram.t option;
+      (** [shard_wait_ns], resolved once so a waiting share records
+          without a name lookup *)
 }
 
 let no_route = { contexts = [||]; rejections = Atomic.make 0 }
@@ -139,10 +141,13 @@ let default_config =
 
 (* One registration's operation bundle.  [exec_batch] executes a whole
    batch, in submission order, through the structure's batched path
-   (Hash_table.run_batch).  Kinds and keys arrive as two parallel arrays
-   of immediates rather than an array of pairs: the batched path
-   competes with a per-op loop that allocates nothing, so it must not pay
-   a tuple and a record per request either. *)
+   (Hash_table.run_batch), after one group-prefetch pass over the batch's
+   bucket heads and first chain nodes (Hash_table.prefetch): a table far
+   larger than the caches then takes its batch's misses side by side
+   instead of two in a row per operation.  Kinds and keys arrive as two
+   parallel arrays of immediates rather than an array of pairs: the
+   batched path competes with a per-op loop that allocates nothing, so
+   it must not pay a tuple and a record per request either. *)
 type worker_ops = {
   exec : op_kind -> int -> bool;
   exec_batch : n:int -> op_kind array -> int array -> bool array -> unit;
@@ -268,6 +273,7 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
            The quiesce after the replay reclaims what it retired: no
            later operation runs on this registration. *)
         let flush () =
+          H.prefetch tbl ~n:!n rkeys;
           H.run_batch ctx !n (fun i ->
               if rins.(i) then ignore (H.insert tbl ctx rkeys.(i))
               else begin
@@ -314,6 +320,7 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
                 | Delete -> H.delete tbl ctx key);
             exec_batch =
               (fun ~n kinds keys results ->
+                H.prefetch tbl ~n keys;
                 H.run_batch ctx n (fun i ->
                     results.(i) <-
                       (match kinds.(i) with
@@ -360,6 +367,13 @@ let make_shard ~obs ~index ~(cfg : config) : shard * (int * int) =
 let make_context t (shard : shard) =
   let ops = shard.register () in
   let rec_opt = Oa_obs.Sink.register t.sink in
+  (* Histograms this context records into once per share (or per
+     fsync), resolved here rather than by name on every share. *)
+  let batch_hist = I.obs_histogram rec_opt "net_batch" in
+  let fsync_hist =
+    if shard.persist = None then None
+    else I.obs_histogram rec_opt "wal_fsync_ns"
+  in
   let cap = max 1 t.cfg.dequeue_batch in
   let kinds = Array.make cap Get in
   let keys = Array.make cap 0 in
@@ -414,8 +428,7 @@ let make_context t (shard : shard) =
           if rotated then Oa_obs.Recorder.incr r Oa_obs.Event.Wal_fsync;
           if issued then begin
             Oa_obs.Recorder.incr r Oa_obs.Event.Wal_fsync;
-            Oa_obs.Recorder.observe r "wal_fsync_ns"
-              (Oa_runtime.Clock.now_ns () - t0)
+            I.obs_hist fsync_hist (Oa_runtime.Clock.now_ns () - t0)
           end);
       (* Mid-run checkpoint: this context is the durable shard's only
          one, and its holder the sole mutator, so quiescing it makes the
@@ -461,11 +474,8 @@ let make_context t (shard : shard) =
      holding its reply already sees its request in STATS [processed]. *)
   let run items pos len =
     Atomic.fetch_and_add t.processed len |> ignore;
-    (match rec_opt with
-    | None -> ()
-    | Some r ->
-        Oa_obs.Recorder.add r Oa_obs.Event.Req_done len;
-        Oa_obs.Recorder.observe r "net_batch" len);
+    I.obs_add rec_opt Oa_obs.Event.Req_done len;
+    I.obs_hist batch_hist len;
     let stop = pos + len in
     let pos = ref pos in
     while !pos < stop do
@@ -495,7 +505,7 @@ let make_context t (shard : shard) =
     closed = false;
     run;
     quiesce = ops.quiesce;
-    obs = rec_opt;
+    wait_hist = I.obs_histogram rec_opt "shard_wait_ns";
   }
 
 (* The OCaml major heap in bytes: the part of RSS that is neither the
@@ -533,7 +543,15 @@ let create ?(obs = Oa_obs.Sink.create ()) (cfg : config) : t =
      from the range until [prefill] distinct keys are in — but only on a
      fresh start.  A directory that held any state (checkpoint keys or
      WAL records) owns the contents: re-prefilling a recovered table
-     would resurrect keys the pre-crash service had acked as deleted. *)
+     would resurrect keys the pre-crash service had acked as deleted.
+
+     Drawn keys queue per shard and run in chunks of up to
+     [dequeue_batch] through the batched path, prefetch included.  A
+     chunk runs when it is full, and every chunk runs once the queued
+     keys could fill the remaining quota: each queued key adds at most
+     one key, so no key is drawn that a key-by-key prefill would not
+     draw, and each shard inserts the same keys in the same order —
+     the same table, on the same arena slots. *)
   if cfg.prefill > 0 && recovered_records + recovered_ckpt_keys = 0 then begin
     let ops = Array.map (fun s -> s.register ()) shards in
     (* Only a durable service logs its prefill, so only it keeps the keys
@@ -543,15 +561,47 @@ let create ?(obs = Oa_obs.Sink.create ()) (cfg : config) : t =
       if cfg.data_dir = None then [||] else Array.make cfg.prefill 0
     in
     let rng = Oa_util.Splitmix.create (cfg.seed lxor 0x5eed) in
-    let remaining = ref cfg.prefill in
+    let cap = max 1 cfg.dequeue_batch in
+    let kinds = Array.make cap Insert and results = Array.make cap false in
+    let queued = Array.init cfg.shards (fun _ -> Array.make cap 0) in
+    let fill = Array.make cfg.shards 0 in
+    let remaining = ref cfg.prefill and pending = ref 0 in
+    let flush s =
+      let n = fill.(s) and keys = queued.(s) in
+      if n > 0 then begin
+        (* the contexts' rule: one item takes the per-op path, so a
+           [--batch 1] service never runs the batched path *)
+        if n >= 2 then ops.(s).exec_batch ~n kinds keys results
+        else results.(0) <- ops.(s).exec Insert keys.(0);
+        for i = 0 to n - 1 do
+          if results.(i) then begin
+            if Array.length logged > 0 then
+              logged.(cfg.prefill - !remaining) <- keys.(i);
+            decr remaining
+          end
+        done;
+        fill.(s) <- 0;
+        pending := !pending - n
+      end
+    in
     while !remaining > 0 do
-      let k = 1 + Oa_util.Splitmix.below rng cfg.key_range in
-      let s = shard_index ~shards:cfg.shards k in
-      if ops.(s).exec Insert k then begin
-        if Array.length logged > 0 then logged.(cfg.prefill - !remaining) <- k;
-        decr remaining
+      if !pending = !remaining then
+        for s = 0 to cfg.shards - 1 do
+          flush s
+        done
+      else begin
+        let k = 1 + Oa_util.Splitmix.below rng cfg.key_range in
+        let s = shard_index ~shards:cfg.shards k in
+        queued.(s).(fill.(s)) <- k;
+        fill.(s) <- fill.(s) + 1;
+        incr pending;
+        if fill.(s) = cap then flush s
       end
     done;
+    (* No later operation runs on these registrations: their final pass
+       reclaims what they retired and clears the hazards they still
+       publish, which would otherwise pin the nodes they last read. *)
+    Array.iter (fun o -> o.quiesce ()) ops;
     (* The prefill is part of durable state: log it like any other batch
        of effective inserts, one append + one fsync per shard, so a
        restart without traffic still recovers the prefilled table. *)
@@ -626,6 +676,16 @@ let stop t =
              c.closed <- true;
              c.quiesce ()
            end;
+           Mutex.unlock c.lock))
+      t.route.contexts;
+    (* A context's pass cannot free what another context's hazards still
+       held when it ran; every context has now cleared its own, so a
+       second pass frees the rest.  The contexts are closed: no share
+       runs beside it. *)
+    Array.iter
+      (Array.iter (fun c ->
+           Mutex.lock c.lock;
+           c.quiesce ();
            Mutex.unlock c.lock))
       t.route.contexts;
     let rec_opt = Oa_obs.Sink.register t.sink in
@@ -759,11 +819,7 @@ let await (b : batch) =
       let c = cs.(b.slot mod Array.length cs) in
       let t0 = Oa_runtime.Clock.now_ns () in
       Mutex.lock c.lock;
-      (match c.obs with
-      | None -> ()
-      | Some r ->
-          Oa_obs.Recorder.observe r "shard_wait_ns"
-            (Oa_runtime.Clock.now_ns () - t0));
+      I.obs_hist c.wait_hist (Oa_runtime.Clock.now_ns () - t0);
       run_share b c offsets.(s) hi
     done
   end

@@ -38,6 +38,7 @@ external cas : buffer -> int -> int -> int -> bool = "oa_flat_cas" [@@noalloc]
 external faa : buffer -> int -> int -> int = "oa_flat_faa" [@@noalloc]
 external fence : unit -> unit = "oa_flat_fence" [@@noalloc]
 external cpu_relax : unit -> unit = "oa_flat_cpu_relax" [@@noalloc]
+external prefetch : buffer -> int -> unit = "oa_flat_prefetch" [@@noalloc]
 
 external fill : buffer -> int -> int -> int -> unit = "oa_flat_fill"
   [@@noalloc]

@@ -73,6 +73,11 @@ external fence : unit -> unit = "oa_flat_fence" [@@noalloc]
 external cpu_relax : unit -> unit = "oa_flat_cpu_relax" [@@noalloc]
 (** Spin-wait hint ([pause]/[yield]) for CAS retry backoff. *)
 
+external prefetch : buffer -> int -> unit = "oa_flat_prefetch" [@@noalloc]
+(** [prefetch b i] asks the CPU to start loading word [i]'s cache line
+    for a read ([__builtin_prefetch]) and returns at once: no ordering,
+    no store, never a fault, whatever [i]. *)
+
 external fill : buffer -> int -> int -> int -> unit = "oa_flat_fill"
   [@@noalloc]
 (** [fill b off len v] stores [v] into words [off .. off+len-1] with

@@ -125,6 +125,16 @@ CAMLprim value oa_flat_cpu_relax(value unit) {
   return Val_unit;
 }
 
+/* Cache hint for word [i]: start loading its line for a read, into every
+   cache level, and return at once.  A prefetch never faults, whatever the
+   address, and the word is inside the arena's mapping anyway (never
+   unmapped: the paper's Assumption 3.1), so a stale index only warms a
+   harmless line.  It orders nothing and changes no memory. */
+CAMLprim value oa_flat_prefetch(value vba, value vi) {
+  __builtin_prefetch(oa_flat_base(vba) + Long_val(vi), 0, 3);
+  return Val_unit;
+}
+
 /* Return the physical pages fully inside words [off, off+len) to the OS
    while keeping the mapping itself intact.  MADV_DONTNEED on an anonymous
    private mapping drops the resident pages; a later touch re-faults a zero

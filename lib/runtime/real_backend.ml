@@ -168,6 +168,7 @@ let make ?(max_threads = 128) ?(arena_words = default_arena_words) () :
     let read_own = read
     let write c v = Flat_mem.set arena c v
     let cas c e v = Flat_mem.cas arena c e v
+    let prefetch c = Flat_mem.prefetch arena c
     let faa c d = Flat_mem.faa arena c d
 
     (* Node zeroing sits on the allocation hot path (Algorithm 5's

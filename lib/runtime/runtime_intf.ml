@@ -102,6 +102,15 @@ module type S = sig
       the sim backend: simulated schedules must not depend on real-time
       backoff, and a failed simulated CAS is already a scheduling point. *)
 
+  val prefetch : cell -> unit
+  (** [prefetch c] hints that [c] will be read soon: the real backend asks
+      the CPU to start loading [c]'s cache line ([__builtin_prefetch]) and
+      returns at once.  A hint only — it orders nothing, writes nothing
+      and never faults, so a stale cell (a recycled node, a decommitted
+      chunk: the arena stays mapped) just warms a harmless line.  A no-op
+      on the sim backend: it charges nothing and is not a scheduling
+      point, so a simulated schedule is the same with or without it. *)
+
   val rcell : 'a -> 'a rcell
   val rread : 'a rcell -> 'a
   val rwrite : 'a rcell -> 'a -> unit

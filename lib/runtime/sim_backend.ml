@@ -49,6 +49,10 @@ let of_sched ?(max_threads = 128) ?trace sched0 : (module Runtime_intf.S) =
 
     (* Deterministic schedules must not depend on wall-clock backoff. *)
     let cpu_relax () = ()
+
+    (* The cost model has no prefetcher: a charged or yielding hint would
+       move every schedule that passes through it. *)
+    let prefetch (_ : cell) = ()
     let rcell v = Smem.rcell mem v
     let rread r = Smem.rread mem r
     let rwrite r v = Smem.rwrite mem r v

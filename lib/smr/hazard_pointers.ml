@@ -263,9 +263,17 @@ module Make (Rt : Oa_runtime.Runtime_intf.S) = struct
     I.prof_leave ctx.prof Oa_obs.Phase.Retire t0;
     if ctx.n_retired >= ctx.mm.cfg.I.retire_threshold then scan ctx
 
-  (* A threshold-independent scan; at quiescence no hazard slot is set, so
-     everything this thread has retired is freed. *)
+  (* A threshold-independent scan.  The read slots still publish the
+     nodes this thread's last operation read — they are never cleared at
+     operation end, for the batch carry — so they are cleared first
+     (cells and mirror: a later batch must not carry a dropped hazard).
+     At quiescence the owner slots are already clear, so everything this
+     thread has retired is freed unless another thread's slots hold it. *)
   let quiesce ctx =
+    for j = 0 to ctx.mm.cfg.I.hp_slots - 1 do
+      R.write ctx.hps.(j) no_hp;
+      ctx.shadow.(j) <- no_hp
+    done;
     if ctx.n_retired > 0 then scan ctx;
     (* elastic arenas: return pooled free slots to their home chunks so
        fully-free chunks can shed their pages *)

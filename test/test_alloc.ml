@@ -6,7 +6,8 @@
    per-operation path itself — the normalized driver, the search, the
    CAS descriptors and every barrier — must allocate nothing.  The same
    gate covers a network shard's per-operation entry point
-   ([Service.make_shard]'s [exec], what a shard context runs), and
+   ([Service.make_shard]'s [exec]) and its batched one ([exec_batch],
+   prefetch pass included — what a shard context runs), and
    a volatile service's prefill is held to one word per key.  The skip
    list and the queue run the same measurement and report their
    words/op without a gate. *)
@@ -92,19 +93,30 @@ let queue_words (module S : Sch.S_with_r) =
       else ignore (Sys.opaque_identity (Q.dequeue ctx)))
 
 (* A shard brings its own backend instance; its worker is the calling
-   domain, as for the service's own prefill and recovery. *)
-let shard_words id =
+   domain, as for the service's own prefill and recovery.  [~batch:1]
+   runs each op through [exec]; a larger [batch] stages one op per
+   measured step and runs every [batch]th step's batch through
+   [exec_batch] (the group-prefetch pass, then the scheme's batched
+   path) — what a server share runs. *)
+let shard_words ~batch id =
   let module Sv = Oa_net.Service in
   let cfg =
     { Sv.default_config with scheme = id; shards = 1; delta = 40_000 }
   in
   let shard, _ = Sv.make_shard ~obs:Oa_obs.Sink.disabled ~index:0 ~cfg in
   let w = shard.Sv.register () in
+  let kinds = Array.make batch Sv.Get
+  and keys = Array.make batch 0
+  and results = Array.make batch false in
   let kind_of = function 0 | 1 -> Sv.Get | 2 -> Sv.Insert | _ -> Sv.Delete in
   let rng = SM.create 5 in
-  measure (fun _ ->
-      let key = 1 + SM.below rng cfg.Sv.key_range in
-      ignore (Sys.opaque_identity (w.Sv.exec (kind_of (SM.below rng 4)) key)))
+  measure (fun i ->
+      let j = i mod batch in
+      keys.(j) <- 1 + SM.below rng cfg.Sv.key_range;
+      kinds.(j) <- kind_of (SM.below rng 4);
+      if batch = 1 then
+        ignore (Sys.opaque_identity (w.Sv.exec kinds.(0) keys.(0)))
+      else if j = batch - 1 then w.Sv.exec_batch ~n:batch kinds keys results)
 
 (* A volatile service's prefill keeps no per-key state beside the table:
    [Service.create] with a 100 000-key prefill allocates at most one heap
@@ -163,7 +175,10 @@ let () =
     [
       ("hash table", cases "hash table" (fun (_, s) -> hash_words s));
       ("linked list", cases "linked list" (fun (_, s) -> list_words s));
-      ("service exec", cases "shard exec" (fun (id, _) -> shard_words id));
+      ( "service exec",
+        cases "shard exec" (fun (id, _) -> shard_words ~batch:1 id) );
+      ( "service exec_batch",
+        cases "shard exec_batch" (fun (id, _) -> shard_words ~batch:64 id) );
       ( "service prefill",
         [ Alcotest.test_case "volatile keeps no key list" `Quick
             test_volatile_prefill ] );

@@ -330,6 +330,202 @@ let concurrent_smoke id () =
     "op_batch_amortized histogram populated" true
     (batch_count >= threads * per_thread_batches)
 
+(* --- the group-prefetch pass (Hash_table.prefetch) --- *)
+
+(* One op stream through two shards built as a server builds them: one
+   in chunks of 64 through [exec_batch] — the group-prefetch pass, then
+   the batched path — the other op by op through [exec], which does not
+   prefetch.  The table has 2^17 buckets, so the pass prefetches heads
+   spread over a megabyte.  Answers, final contents and a model must all
+   agree, on fixed and elastic arenas. *)
+let prefetch_differential id ~elastic () =
+  let module Sv = Oa_net.Service in
+  let cfg =
+    {
+      Sv.default_config with
+      Sv.scheme = id;
+      shards = 1;
+      prefill = 50_000;
+      key_range = 200_000;
+      delta = 2_000;
+      chunk_size = 16;
+      elastic;
+    }
+  in
+  let n = 30_000 and batch = 64 in
+  let rng = SM.create 29 in
+  let kinds =
+    Array.init n (fun _ ->
+        match SM.below rng 10 with
+        | 0 | 1 | 2 | 3 -> Sv.Get
+        | 4 | 5 | 6 -> Sv.Insert
+        | _ -> Sv.Delete)
+  in
+  (* a narrow key window, so deletes find keys and reclamation runs *)
+  let keys = Array.init n (fun _ -> 1 + SM.below rng 6_000) in
+  let model = Hashtbl.create 4096 in
+  let expected =
+    Array.init n (fun i ->
+        let k = keys.(i) in
+        let present = Hashtbl.mem model k in
+        match kinds.(i) with
+        | Sv.Get -> present
+        | Sv.Insert ->
+            if not present then Hashtbl.replace model k ();
+            not present
+        | Sv.Delete ->
+            if present then Hashtbl.remove model k;
+            present)
+  in
+  let shard () = fst (Sv.make_shard ~obs:Oa_obs.Sink.disabled ~index:0 ~cfg) in
+  let batched = shard () and per_op = shard () in
+  Alcotest.(check bool)
+    "at least 2^16 buckets" true
+    (Oa_structures.Hash_table.bucket_count
+       ~expected_size:(cfg.Sv.prefill / cfg.Sv.shards)
+     >= 1 lsl 16);
+  let wb = batched.Sv.register () and wp = per_op.Sv.register () in
+  let got_b = Array.make n false and got_p = Array.make n false in
+  let bk = Array.make batch Sv.Get
+  and bkeys = Array.make batch 0
+  and bres = Array.make batch false in
+  let i = ref 0 in
+  while !i < n do
+    let base = !i in
+    let m = min batch (n - base) in
+    Array.blit kinds base bk 0 m;
+    Array.blit keys base bkeys 0 m;
+    wb.Sv.exec_batch ~n:m bk bkeys bres;
+    Array.blit bres 0 got_b base m;
+    i := base + m
+  done;
+  Array.iteri (fun i k -> got_p.(i) <- wp.Sv.exec k keys.(i)) kinds;
+  wb.Sv.quiesce ();
+  wp.Sv.quiesce ();
+  Alcotest.(check (array bool)) "batched answers = model" expected got_b;
+  Alcotest.(check (array bool)) "per-op answers = model" expected got_p;
+  let sorted = Hashtbl.fold (fun k () acc -> k :: acc) model [] in
+  let sorted = Array.of_list (List.sort compare sorted) in
+  Alcotest.(check (array int))
+    "batched contents" sorted
+    (batched.Sv.contents ());
+  Alcotest.(check (array int)) "per-op contents" sorted (per_op.Sv.contents ());
+  (match batched.Sv.validate () with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "batched shard: %s" e);
+  let st = batched.Sv.smr_stats () in
+  Alcotest.(check bool)
+    "recycled <= retires" true
+    (st.I.recycled <= st.I.retires)
+
+(* Prefetching never faults, whatever a head holds.  Each bucket head of
+   a small-chunk elastic table is pointed back at a node its chain held
+   before every key was deleted, quiesced and its chunk decommitted
+   (MADV_DONTNEED: the pages are gone, the mapping stays), and then, on
+   a fixed table, at recycled nodes and at the arena's last node; the
+   pass reads each such head and prefetches through it. *)
+let prefetch_no_fault id () =
+  let module R = (val Oa_runtime.Real_backend.make ~max_threads:2 ()) in
+  let module Sch = Schemes.Make (R) in
+  let module S = (val Sch.pack id) in
+  let module H = Oa_structures.Hash_table.Make (S) in
+  let module Ptr = Oa_mem.Ptr in
+  let nkeys = 4_096 in
+  let keys = Array.init nkeys (fun i -> i + 1) in
+  let cfg =
+    { I.default_config with I.chunk_size = 16; retire_threshold = 16 }
+  in
+  let run ~elastic =
+    let capacity = 2 * nkeys in
+    let tbl =
+      H.create ~elastic ~chunk_nodes:64 ~capacity ~expected_size:nkeys cfg
+    in
+    let ctx = H.register tbl in
+    Array.iter (fun k -> ignore (H.insert tbl ctx k)) keys;
+    let heads = Array.map (fun k -> R.read (H.bucket tbl k)) keys in
+    Array.iter (fun k -> ignore (H.delete tbl ctx k)) keys;
+    (* the lookups unlink and retire what the deletes marked *)
+    Array.iter (fun k -> ignore (H.contains tbl ctx k)) keys;
+    H.quiesce ctx;
+    H.quiesce ctx;
+    if elastic && id <> Schemes.No_reclamation then
+      Alcotest.(check bool)
+        "a chunk was decommitted" true
+        (List.assoc "mem_chunks_live" (H.gauges tbl)
+        < List.assoc "mem_chunks_mapped" (H.gauges tbl));
+    let saved = Array.map (fun k -> R.read (H.bucket tbl k)) keys in
+    let stale f =
+      Array.iteri (fun i k -> R.write (H.bucket tbl k) (f i)) keys
+    in
+    stale (fun i -> heads.(i));
+    H.prefetch tbl ~n:nkeys keys;
+    if not elastic then begin
+      stale (fun _ -> Ptr.of_index (capacity - 1));
+      H.prefetch tbl ~n:nkeys keys
+    end;
+    stale (fun i -> saved.(i));
+    (match H.validate tbl ~limit:capacity with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "after prefetch: %s" e);
+    if H.to_list tbl <> [] then Alcotest.fail "table not empty"
+  in
+  run ~elastic:true;
+  run ~elastic:false
+
+(* The hint is invisible to the simulator: two threads run one op stream
+   on a simulated hash table under a random-walk schedule, once with a
+   prefetch of each operation's bucket head and once without; the
+   schedule decisions, the makespan and the answers must be identical. *)
+let prefetch_sim_untouched () =
+  let run ~hint =
+    let sched =
+      Oa_simrt.Sched.create ~seed:5 ~quantum:64
+        Oa_simrt.Cost_model.amd_opteron
+    in
+    let module R = (val Oa_runtime.Sim_backend.of_sched ~max_threads:2 sched) in
+    let module Sch = Schemes.Make (R) in
+    let module S = (val Sch.pack Schemes.Optimistic_access) in
+    let module H = Oa_structures.Hash_table.Make (S) in
+    let tbl = H.create ~capacity:2_000 ~expected_size:64 hostile_cfg in
+    let answers = Array.make 400 false in
+    let engine =
+      Oa_check.Engine.install sched ~n:2
+        (Oa_check.Engine.Drive
+           {
+             policy =
+               {
+                 Oa_check.Policy.policy = Oa_check.Policy.Random_walk;
+                 seed = 17;
+               };
+             faults = [];
+             probe = (fun () -> 0);
+           })
+    in
+    R.par_run ~n:2 (fun tid ->
+        let ctx = H.register tbl in
+        let rng = SM.create (3 + tid) in
+        for i = 0 to 199 do
+          let key = 1 + SM.below rng 96 in
+          if hint then R.prefetch (H.bucket tbl key);
+          answers.((2 * i) + tid) <-
+            (match SM.below rng 3 with
+            | 0 -> H.contains tbl ctx key
+            | 1 -> H.insert tbl ctx key
+            | _ -> H.delete tbl ctx key)
+        done);
+    Oa_check.Engine.uninstall engine;
+    ( Oa_check.Engine.decisions engine,
+      R.elapsed_seconds (),
+      answers,
+      H.to_list tbl )
+  in
+  let d0, e0, a0, c0 = run ~hint:false and d1, e1, a1, c1 = run ~hint:true in
+  Alcotest.(check bool) "decisions recorded" true (Array.length d0 > 100);
+  Alcotest.(check (array int)) "same decisions" d0 d1;
+  Alcotest.(check (float 0.)) "same makespan" e0 e1;
+  Alcotest.(check (array bool)) "same answers" a0 a1;
+  Alcotest.(check (list int)) "same contents" c0 c1
+
 let () =
   Alcotest.run "batch"
     [
@@ -344,4 +540,26 @@ let () =
               (Printf.sprintf "batched smoke (%s)" (Schemes.id_name id))
               `Quick (concurrent_smoke id))
           Schemes.all_ids );
+      ( "prefetch",
+        List.concat_map
+          (fun id ->
+            let name = Schemes.id_name id in
+            [
+              Alcotest.test_case
+                (Printf.sprintf "exec_batch = exec, fixed (%s)" name)
+                `Quick
+                (prefetch_differential id ~elastic:false);
+              Alcotest.test_case
+                (Printf.sprintf "exec_batch = exec, elastic (%s)" name)
+                `Quick
+                (prefetch_differential id ~elastic:true);
+              Alcotest.test_case
+                (Printf.sprintf "stale heads do not fault (%s)" name)
+                `Quick (prefetch_no_fault id);
+            ])
+          Schemes.all_ids
+        @ [
+            Alcotest.test_case "simulated schedule unchanged" `Quick
+              prefetch_sim_untouched;
+          ] );
     ]

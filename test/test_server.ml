@@ -581,6 +581,38 @@ let run_shared_volatile () =
   Alcotest.(check bool) "deletes retired nodes" true (r.Sv.retired > 0);
   Alcotest.(check int) "retired = reclaimed" r.Sv.retired r.Sv.reclaimed
 
+(* Hazard pointers drain completely: two shards of two contexts each,
+   four domains on the same 64 keys, half of them prefilled.  A read
+   slot keeps publishing the last node its context read after the
+   operation ends, and the prefill's registrations published nodes the
+   contexts later delete; [stop] must still reclaim every node retired. *)
+let run_shared_hp () =
+  within ~seconds:60. @@ fun () ->
+  let prefill = 32 in
+  let service =
+    Sv.create
+      {
+        Sv.default_config with
+        Sv.scheme = Schemes.Hazard_pointers;
+        shards = 2;
+        workers_per_shard = 2;
+        prefill;
+        key_range = 64;
+      }
+  in
+  let net = race service ~domains:4 ~rounds:1_000 in
+  Sv.stop service;
+  let r = Sv.drain_report service in
+  (match r.Sv.validation with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "validation: %s" e);
+  Alcotest.(check bool) "conservation" true r.Sv.conservation_ok;
+  Alcotest.(check int) "size = prefill + acked inserts - acked deletes"
+    (prefill + net)
+    (Array.length (Sv.contents service));
+  Alcotest.(check bool) "deletes retired nodes" true (r.Sv.retired > 0);
+  Alcotest.(check int) "retired = reclaimed" r.Sv.retired r.Sv.reclaimed
+
 (* One durable shard, two domains on the same 64 keys.  Once they have
    joined, the shard directory is copied — before [stop], which would
    checkpoint it — and the copy recovered: replaying the log in append
@@ -791,6 +823,8 @@ let () =
         [
           Alcotest.test_case "volatile: two contexts, four domains" `Quick
             run_shared_volatile;
+          Alcotest.test_case "HP: two shards, four domains, nothing left"
+            `Quick run_shared_hp;
           Alcotest.test_case "durable: log order is execution order" `Quick
             run_shared_durable;
         ] );
